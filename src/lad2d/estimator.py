@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Grid, ModelParams, SignalField, model_grid_values
+from .model import AMPLITUDE_BOUND, Grid, ModelParams, SignalField, model_grid_values
 from .noise import NoiseSpec, density_at_zero
 from .objective import (
     PeakPickingError,
@@ -131,6 +131,14 @@ class EstimateReport:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _pack(coef: np.ndarray, freqs: list[tuple[float, float]]) -> np.ndarray:
+    """Flat (A1, B1, lam1, mu1, ...) vector from amplitude pairs and frequencies."""
+    vec = np.empty((len(freqs), 4))
+    vec[:, :2] = np.reshape(coef, (-1, 2))
+    vec[:, 2:] = freqs
+    return vec.ravel()
+
+
 def _amplitudes_given_frequencies(
     data: SignalField, freqs: list[tuple[float, float]]
 ) -> np.ndarray:
@@ -204,20 +212,14 @@ def initial_guess(data: SignalField, p: int, grid_refinement: int = 2) -> ModelP
     """
     clipped = _robustly_preprocessed(data)
     t, s = data.grid.t_values(), data.grid.s_values()
-    separation = 2.0 * np.pi / min(data.grid.T, data.grid.S)
     freqs: list[tuple[float, float]] = []
     coef = np.empty(0)
     residual = clipped
     for k in range(p):
-        candidates = peak_candidates(residual, grid_refinement, same_lobe_only=True)
         # Ignore leftovers of already-peeled components (close in both axes).
-        candidates = [
-            (lam, mu, h)
-            for lam, mu, h in candidates
-            if all(
-                max(abs(lam - l0), abs(mu - m0)) >= separation for l0, m0 in freqs
-            )
-        ]
+        candidates = peak_candidates(
+            residual, grid_refinement, same_lobe_only=True, limit=1, exclude=freqs
+        )
         if not candidates:
             raise PeakPickingError(
                 f"insufficient peaks: found {k} separated local maxima, need {p}"
@@ -226,15 +228,11 @@ def initial_guess(data: SignalField, p: int, grid_refinement: int = 2) -> ModelP
         freqs.append(_refine_peak_frequency(residual, lam, mu, grid_refinement))
         coef = _amplitudes_given_frequencies(clipped, freqs)
         if k + 1 < p:
-            partial = np.empty(4 * (k + 1))
-            for j, (l0, m0) in enumerate(freqs):
-                partial[4 * j : 4 * j + 4] = (coef[2 * j], coef[2 * j + 1], l0, m0)
-            fitted = model_grid_values(partial, t, s)
+            fitted = model_grid_values(_pack(coef, freqs), t, s)
             residual = SignalField(data.grid, clipped.values - fitted)
-    vec = np.empty(4 * p)
-    for k, (lam, mu) in enumerate(freqs):
-        vec[4 * k : 4 * k + 4] = (coef[2 * k], coef[2 * k + 1], lam, mu)
-    return ModelParams.from_vector(vec)
+    # Data at a huge scale can ask for amplitudes ModelParams cannot hold.
+    coef = np.clip(coef, -AMPLITUDE_BOUND, AMPLITUDE_BOUND)
+    return ModelParams.from_vector(_pack(coef, freqs))
 
 
 def default_fit_config(p: int, grid: Grid) -> SimplexConfig:
@@ -265,7 +263,6 @@ def _rescue_missed_components(
     so healthy fits pay only a handful of objective evaluations.
     """
     t, s = data.grid.t_values(), data.grid.s_values()
-    separation = 2.0 * np.pi / min(data.grid.T, data.grid.S)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     best = result
@@ -275,22 +272,17 @@ def _rescue_missed_components(
         vec = best.best_point
         freqs = [(vec[4 * k + 2], vec[4 * k + 3]) for k in range(p)]
         residual = SignalField(data.grid, clipped.values - model_grid_values(vec, t, s))
-        candidates = [
-            (lam, mu)
-            for lam, mu, _ in peak_candidates(residual, grid_refinement, same_lobe_only=True)
-            if all(max(abs(lam - l0), abs(mu - m0)) >= separation for l0, m0 in freqs)
-        ]
+        candidates = peak_candidates(
+            residual, grid_refinement, same_lobe_only=True, limit=scan, exclude=freqs
+        )
         weakest = min(range(p), key=lambda k: vec[4 * k] ** 2 + vec[4 * k + 1] ** 2)
         improved = False
-        for lam, mu in candidates[:scan]:
+        for lam, mu, _ in candidates:
             lam, mu = _refine_peak_frequency(residual, lam, mu, grid_refinement)
             new_freqs = list(freqs)
             new_freqs[weakest] = (lam, mu)
             coef = _amplitudes_given_frequencies(clipped, new_freqs)
-            trial = np.empty(4 * p)
-            for k, (l0, m0) in enumerate(new_freqs):
-                trial[4 * k : 4 * k + 4] = (coef[2 * k], coef[2 * k + 1], l0, m0)
-            np.clip(trial, lo, hi, out=trial)
+            trial = np.clip(_pack(coef, new_freqs), lo, hi)
             if objective(trial) >= best.best_value:
                 continue
             retry = nelder_mead(objective, trial, bounds, cfg)

@@ -9,6 +9,7 @@ reduces records in replication order.
 from __future__ import annotations
 
 import concurrent.futures
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,13 @@ def _fit_one_replication(args) -> list[tuple[object, bool]]:
     for method in methods:
         try:
             report = fit(data, truth.p, method=method, config=optimizer)
-        except (PeakPickingError, FitError, np.linalg.LinAlgError):
+        except Exception as exc:  # one bad replication must not abort the run
+            if not isinstance(exc, (PeakPickingError, FitError, np.linalg.LinAlgError)):
+                warnings.warn(
+                    f"replication {rep} on {grid.T}x{grid.S} ({method}) counted as a hard "
+                    f"failure: {type(exc).__name__}: {exc}",
+                    RuntimeWarning,
+                )
             records.append((None, False))
             continue
         vec = aligned_vector(report.params_hat, truth)
@@ -86,7 +93,8 @@ def _fit_one_replication(args) -> list[tuple[object, bool]]:
 def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
     """Run all replications over all grids and reduce to AE/MSE per parameter.
 
-    Hard failures (no usable estimate) are always excluded and counted.
+    Hard failures (no usable estimate) are always excluded and counted; an
+    error other than the documented fit failures is also warned about.
     Non-converged fits are excluded for the robust method, but kept for the
     least-squares method unless ``spec.exclude_lse_failures`` is set; either
     way they are counted.

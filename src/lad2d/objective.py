@@ -7,6 +7,7 @@ separated peaks on a refined lattice locate the component frequencies.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -116,8 +117,9 @@ def periodogram_lattice(
     if refinement < 1:
         raise ValueError(f"refinement must be >= 1, got {refinement}")
     T, S = data.grid.T, data.grid.S
-    lams = np.pi * np.arange(refinement * T + 1) / (refinement * T)
-    mus = np.pi * np.arange(refinement * S + 1) / (refinement * S)
+    # pi * n / n rounds above pi for some n (13, 26, 47, ...); clamp the top.
+    lams = np.minimum(np.pi * np.arange(refinement * T + 1) / (refinement * T), np.pi)
+    mus = np.minimum(np.pi * np.arange(refinement * S + 1) / (refinement * S), np.pi)
     t, s = data.grid.t_values(), data.grid.s_values()
     et = np.exp(-1j * np.outer(lams, t))  # (L, T)
     es = np.exp(-1j * np.outer(s, mus))  # (S, M)
@@ -138,8 +140,21 @@ def _local_maxima(intensity: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _near(lams: np.ndarray, mus: np.ndarray, lam: float, mu: float, separation: float,
+          both: bool) -> np.ndarray:
+    """Which (lams[i], mus[i]) lie within ``separation`` of (lam, mu): in both
+    coordinates when ``both``, else in either."""
+    near_lam = np.abs(lams - lam) < separation
+    near_mu = np.abs(mus - mu) < separation
+    return near_lam & near_mu if both else near_lam | near_mu
+
+
 def peak_candidates(
-    data: SignalField, grid_refinement: int = 2, same_lobe_only: bool = False
+    data: SignalField,
+    grid_refinement: int = 2,
+    same_lobe_only: bool = False,
+    limit: int | None = None,
+    exclude: Sequence[tuple[float, float]] = (),
 ) -> list[tuple[float, float, float]]:
     """Separated periodogram local maxima as (lam, mu, height), tallest first.
 
@@ -150,6 +165,19 @@ def peak_candidates(
     ``same_lobe_only`` the suppression needs closeness in *both* coordinates;
     that keeps weak genuine peaks that merely share a frequency row or column
     with an unrelated taller bump, which matters when scanning residuals.
+    Both rules stay: :func:`pick_peaks` (and with it the ``periodogram`` CLI
+    output) uses the "either coordinate" rule, the estimator's residual scans
+    the "both coordinates" one.
+
+    Maxima that sit within the separation of a frequency in ``exclude`` in
+    both coordinates (components already fitted) are left out of the result,
+    but they still suppress their shorter neighbours as if they were kept.
+
+    The walk is top-k: maxima are visited tallest first, each accepted one
+    masks the later maxima it suppresses in one vectorized step, and the walk
+    stops once ``limit`` candidates are collected.  The result is therefore
+    always the first ``limit`` entries of the unlimited list, which is what
+    keeps estimates independent of how many candidates a caller asks for.
     """
     lams, mus, intensity = periodogram_lattice(data, grid_refinement)
     mask = _local_maxima(intensity)
@@ -157,21 +185,21 @@ def peak_candidates(
     heights = intensity[mask]
     # Tallest first; ties broken by lattice position for determinism.
     order = np.lexsort((idx[:, 1], idx[:, 0], -heights))
+    lam_at, mu_at, height_at = lams[idx[order, 0]], mus[idx[order, 1]], heights[order]
     separation = 2.0 * np.pi / min(data.grid.T, data.grid.S)
+    excluded = np.zeros(order.size, dtype=bool)
+    for l0, m0 in exclude:
+        excluded |= _near(lam_at, mu_at, l0, m0, separation, both=True)
+    alive = np.ones(order.size, dtype=bool)
     chosen: list[tuple[float, float, float]] = []
-    for row in order:
-        lam, mu = float(lams[idx[row, 0]]), float(mus[idx[row, 1]])
-        if same_lobe_only:
-            keep = all(
-                max(abs(lam - l0), abs(mu - m0)) >= separation for l0, m0, _ in chosen
-            )
-        else:
-            keep = all(
-                abs(lam - l0) >= separation and abs(mu - m0) >= separation
-                for l0, m0, _ in chosen
-            )
-        if keep:
-            chosen.append((lam, mu, float(intensity[idx[row, 0], idx[row, 1]])))
+    while (limit is None or len(chosen) < limit) and alive.any():
+        i = int(alive.argmax())  # the tallest maximum nothing taller suppresses
+        alive[i] = False
+        lam, mu = float(lam_at[i]), float(mu_at[i])
+        later = slice(i + 1, None)
+        alive[later] &= ~_near(lam_at[later], mu_at[later], lam, mu, separation, same_lobe_only)
+        if not excluded[i]:
+            chosen.append((lam, mu, float(height_at[i])))
     return chosen
 
 
@@ -179,9 +207,9 @@ def pick_peaks(data: SignalField, p: int, grid_refinement: int = 2) -> list[tupl
     """The p tallest separated periodogram peaks, tallest first."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    chosen = peak_candidates(data, grid_refinement)
+    chosen = peak_candidates(data, grid_refinement, limit=p)
     if len(chosen) < p:
         raise PeakPickingError(
             f"insufficient peaks: found {len(chosen)} separated local maxima, need {p}"
         )
-    return [(lam, mu) for lam, mu, _ in chosen[:p]]
+    return [(lam, mu) for lam, mu, _ in chosen]

@@ -8,6 +8,8 @@ from lad2d import (
     Grid,
     ModelParams,
     NoiseSpec,
+    PeakPickingError,
+    SignalField,
     asymptotic_variances,
     fit,
     information_matrix,
@@ -16,6 +18,7 @@ from lad2d import (
 )
 from lad2d.estimator import (
     EstimateReport,
+    FitError,
     aligned_vector,
     initial_guess,
     parameter_names,
@@ -203,6 +206,23 @@ class TestFit:
         report = fit(data, 2)
         aligned = aligned_vector(report.params_hat, two_component_truth)
         np.testing.assert_allclose(aligned, two_component_truth.as_vector(), atol=1e-4)
+
+    def test_component_at_pi_on_grid_whose_lattice_rounds_above_pi(self):
+        # pi * 52 / 52 rounds above pi, so a peak on the top lattice row used
+        # to start the frequency refinement outside its bounds.
+        truth = ModelParams((ComponentParams(2.4, 1.4, np.pi, 0.6),))
+        data = noisy_observation(truth, Grid(26, 26), NoiseSpec("gaussian", 0.1), 1)
+        comp = fit(data, 1).params_hat.components[0]
+        assert abs(comp.lam - np.pi) < 0.01 and abs(comp.mu - 0.6) < 0.01
+
+    def test_huge_scale_field_fits_or_raises_documented_error(self, one_component_truth):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
+        huge = SignalField(data.grid, data.values * 1e7)
+        try:
+            report = fit(huge, 1)
+        except (FitError, PeakPickingError):
+            return
+        assert np.all(np.isfinite(report.params_hat.as_vector()))
 
 
 class TestInitialGuess:

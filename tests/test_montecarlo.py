@@ -103,6 +103,8 @@ class TestFailurePolicy:
                 from lad2d.objective import PeakPickingError
 
                 raise PeakPickingError("insufficient peaks")
+            if outcome == "crash":
+                raise ValueError("initial point must lie inside the bounds")
             from lad2d.estimator import EstimateReport
 
             vec = one_component_truth.as_vector() + (0.5 if outcome == "off" else 0.0)
@@ -124,6 +126,16 @@ class TestFailurePolicy:
         result = self._run_with_fake_fits(
             one_component_truth, monkeypatch, {"lad": ["ok", "hard", "ok"]}
         )
+        (cell,) = result.cells
+        assert cell.n_hard_failures == 1
+        assert cell.n_used == 2
+        assert max(cell.mse) == 0.0
+
+    def test_unexpected_error_is_a_warned_hard_failure(self, one_component_truth, monkeypatch):
+        with pytest.warns(RuntimeWarning, match="ValueError: initial point must lie inside"):
+            result = self._run_with_fake_fits(
+                one_component_truth, monkeypatch, {"lad": ["ok", "crash", "ok"]}
+            )
         (cell,) = result.cells
         assert cell.n_hard_failures == 1
         assert cell.n_used == 2

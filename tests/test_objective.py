@@ -22,7 +22,7 @@ from lad2d import (
     smoothed_lad_objective,
     synthesize_signal,
 )
-from lad2d.objective import periodogram_lattice
+from lad2d.objective import _local_maxima, peak_candidates, periodogram_lattice
 
 from conftest import random_field, random_model
 
@@ -241,6 +241,14 @@ class TestPeriodogram:
         assert abs(lams[i] - 0.4) <= cell
         assert abs(mus[j] - 0.6) <= cell
 
+    @pytest.mark.parametrize("n", [13, 26, 47, 52, 83, 94, 99, 104])
+    def test_lattice_top_frequency_is_exactly_pi(self, n):
+        # pi * (2n) / (2n) rounds above pi for these sizes; the lattice clamps it.
+        for T, S in ((n, 8), (8, n)):
+            lams, mus, _ = periodogram_lattice(SignalField(Grid(T, S), np.zeros((T, S))), 2)
+            assert lams[-1] == np.pi and mus[-1] == np.pi
+            assert lams.max() <= np.pi and mus.max() <= np.pi
+
     def test_rejects_out_of_range(self):
         data = SignalField(Grid(4, 4), np.zeros((4, 4)))
         with pytest.raises(ValueError):
@@ -284,3 +292,68 @@ class TestPickPeaks:
         sep = 2 * np.pi / 50
         assert abs(l1 - l2) >= sep
         assert abs(m1 - m2) >= sep
+
+
+def all_separated_peaks_oracle(data: SignalField, same_lobe_only: bool):
+    """Every separated local maximum, tallest first, filtered one by one
+    against the accepted list in O(K^2) (the pre-top-k selection)."""
+    lams, mus, intensity = periodogram_lattice(data, 2)
+    mask = _local_maxima(intensity)
+    idx = np.argwhere(mask)
+    heights = intensity[mask]
+    order = np.lexsort((idx[:, 1], idx[:, 0], -heights))
+    separation = 2.0 * np.pi / min(data.grid.T, data.grid.S)
+    chosen = []
+    for row in order:
+        lam, mu = float(lams[idx[row, 0]]), float(mus[idx[row, 1]])
+        if same_lobe_only:
+            keep = all(max(abs(lam - l0), abs(mu - m0)) >= separation for l0, m0, _ in chosen)
+        else:
+            keep = all(
+                abs(lam - l0) >= separation and abs(mu - m0) >= separation for l0, m0, _ in chosen
+            )
+        if keep:
+            chosen.append((lam, mu, float(intensity[idx[row, 0], idx[row, 1]])))
+    return chosen
+
+
+@st.composite
+def small_fields(draw):
+    T = draw(st.integers(8, 20))
+    S = draw(st.integers(8, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "constant", "sinusoids", "tiny", "huge"]))
+    if kind == "constant":
+        values = np.full((T, S), draw(st.floats(-5.0, 5.0)))
+    elif kind == "sinusoids":
+        values = synthesize_signal(random_model(rng, draw(st.integers(1, 3))), Grid(T, S)).values
+        values = values + 0.3 * rng.normal(size=(T, S))
+    else:
+        scale = {"noise": 1.0, "tiny": 1e-150, "huge": 1e150}[kind]
+        values = scale * rng.normal(size=(T, S))
+    return SignalField(Grid(T, S), values)
+
+
+class TestPeakCandidatesTopK:
+    @settings(max_examples=40, deadline=None)
+    @given(data=small_fields(), same_lobe_only=st.booleans())
+    def test_first_k_equal_the_full_selection_prefix(self, data, same_lobe_only):
+        oracle = all_separated_peaks_oracle(data, same_lobe_only)
+        assert peak_candidates(data, 2, same_lobe_only) == oracle
+        for k in range(13):
+            assert peak_candidates(data, 2, same_lobe_only, limit=k) == oracle[:k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=small_fields(), same_lobe_only=st.booleans(), picks=st.lists(st.integers(0, 50), max_size=3))
+    def test_exclusion_gives_the_filtered_prefix(self, data, same_lobe_only, picks):
+        oracle = all_separated_peaks_oracle(data, same_lobe_only)
+        # exclude around some of the oracle's own peaks, nudged off the lattice
+        exclude = [(oracle[i][0] + 0.01, oracle[i][1] - 0.01) for i in picks if i < len(oracle)]
+        separation = 2.0 * np.pi / min(data.grid.T, data.grid.S)
+        far = [
+            c for c in oracle
+            if all(max(abs(c[0] - l0), abs(c[1] - m0)) >= separation for l0, m0 in exclude)
+        ]
+        for k in range(13):
+            got = peak_candidates(data, 2, same_lobe_only, limit=k, exclude=exclude)
+            assert got == far[:k]
