@@ -37,6 +37,10 @@ DEGENERATE_ENERGY = 1e-8
 
 PARAM_KINDS = ("A", "B", "lambda", "mu")
 
+#: A fitted |A| or |B| within this relative distance of the amplitude bound
+#: counts as pinned at the box.
+PINNED_RTOL = 1e-6
+
 
 class FitError(RuntimeError):
     """Raised when the fitting pipeline cannot produce an estimate."""
@@ -337,7 +341,10 @@ def fit(
         result = _rescue_missed_components(
             data, _robustly_preprocessed(data), objective, result, bounds, cfg, grid_refinement
         )
-    params_hat = ModelParams.from_vector(result.best_point)
+    try:
+        params_hat = ModelParams.from_vector(result.best_point)
+    except ValueError as exc:  # e.g. two components collapsed onto one frequency
+        raise FitError(f"fit produced no valid model: {exc}") from exc
 
     report = EstimateReport(
         method=method,
@@ -349,6 +356,12 @@ def fit(
     )
     if not result.converged:
         report.diagnostics += ("optimizer hit the iteration limit",)
+    amplitudes = np.abs(result.best_point.reshape(-1, 4)[:, :2])
+    if np.any(amplitudes >= amplitude_bound * (1.0 - PINNED_RTOL)):
+        report.diagnostics += (
+            f"an amplitude is pinned at the amplitude bound {amplitude_bound!r}: "
+            "the data's scale exceeds the amplitude box",
+        )
 
     if noise_for_se is not None and method == "lad" and noise_for_se.family != "none":
         energies = [c.A**2 + c.B**2 for c in params_hat.components]

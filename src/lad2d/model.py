@@ -167,21 +167,23 @@ def evaluate_model(params: ModelParams, t: int, s: int) -> float:
 def model_grid_values(theta: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Model surface for a flat parameter vector over coordinate arrays t, s.
 
-    Hot path for objective evaluation: the phase trig is computed on the two
-    axes separately and combined with angle-addition outer products, so the
-    per-call trig cost is O(T+S) rather than O(TS).  Components are summed in
-    a canonical order so the result is bit-identical under permutation.
+    Hot path for objective evaluation.  By angle addition the surface is the
+    rank-2p product
+
+        [cos lam t, sin lam t] (T x 2p)  @  [A cos mu s + B sin mu s;
+                                             B cos mu s - A sin mu s] (2p x S),
+
+    so the trig cost is O(p(T+S)) and the grid is written once, by one matrix
+    product.  Components are first sorted by (mu, lam, B, A), so the result is
+    bit-identical under any permutation of them.
     """
-    out = np.zeros((t.size, s.size))
-    blocks = sorted(range(0, len(theta), 4), key=lambda k: tuple(theta[k : k + 4][::-1]))
-    for k in blocks:
-        A, B, lam, mu = theta[k : k + 4]
-        ct, st = np.cos(lam * t), np.sin(lam * t)
-        cs, ss = np.cos(mu * s), np.sin(mu * s)
-        cos_phase = np.outer(ct, cs) - np.outer(st, ss)
-        sin_phase = np.outer(st, cs) + np.outer(ct, ss)
-        out += A * cos_phase + B * sin_phase
-    return out
+    comps = np.reshape(theta, (-1, 4))
+    A, B, lam, mu = comps[np.lexsort(comps.T)].T[:, :, None]  # lexsort: last key first
+    lt, ms = lam * t, mu * s
+    cs, ss = np.cos(ms), np.sin(ms)
+    left = np.concatenate([np.cos(lt), np.sin(lt)])
+    right = np.concatenate([A * cs + B * ss, B * cs - A * ss])
+    return left.T @ right
 
 
 def synthesize_signal(params: ModelParams, grid: Grid) -> SignalField:

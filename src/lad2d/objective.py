@@ -11,16 +11,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .model import Grid, ModelParams, SignalField, model_grid_values
+from .model import ModelParams, SignalField, model_grid_values
 
 
 class PeakPickingError(RuntimeError):
     """Raised when the periodogram does not expose enough separated peaks."""
-
-
-def _check_same_grid(params_grid: Grid, data: SignalField) -> None:
-    if params_grid != data.grid:
-        raise ValueError(f"grid mismatch: {params_grid} vs {data.grid}")
 
 
 def residual_field(params: ModelParams, data: SignalField) -> SignalField:
@@ -72,28 +67,10 @@ def smooth_abs(x, beta: float):
     return out
 
 
-def default_smoothing_beta(grid: Grid) -> float:
-    """Default smoothing rate (T*S)^0.9: grows fast enough that the smoothed
-    objective tracks the exact one, slowly enough to stay differentiable at
-    the working scale."""
-    return float(grid.n**0.9)
-
-
 def smoothed_lad_objective(params: ModelParams, data: SignalField, beta: float) -> float:
     """Mean of the smoothed absolute value over the residuals."""
     r = residual_field(params, data)
     return float(np.mean(smooth_abs(r.values, beta)))
-
-
-def objective_value(kind: str, params: ModelParams, data: SignalField, beta: float | None = None) -> float:
-    """Dispatch on objective kind: 'lad', 'lse', or 'smoothed_lad'."""
-    if kind == "lad":
-        return lad_objective(params, data)
-    if kind == "lse":
-        return lse_objective(params, data)
-    if kind == "smoothed_lad":
-        return smoothed_lad_objective(params, data, beta if beta is not None else default_smoothing_beta(data.grid))
-    raise ValueError(f"unknown objective kind {kind!r}")
 
 
 def periodogram(data: SignalField, lam: float, mu: float) -> float:

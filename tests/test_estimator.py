@@ -16,6 +16,7 @@ from lad2d import (
     match_components,
     synthesize_signal,
 )
+from lad2d import estimator
 from lad2d.estimator import (
     EstimateReport,
     FitError,
@@ -26,6 +27,7 @@ from lad2d.estimator import (
     report_to_text,
 )
 from lad2d.noise import density_at_zero, noisy_observation
+from lad2d.optimizer import OptimResult
 
 from conftest import random_model
 
@@ -223,6 +225,30 @@ class TestFit:
         except (FitError, PeakPickingError):
             return
         assert np.all(np.isfinite(report.params_hat.as_vector()))
+
+
+    def test_amplitude_pinned_at_bound_is_flagged(self, one_component_truth):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
+        assert not any("amplitude box" in note for note in fit(data, 1).diagnostics)
+        report = fit(SignalField(data.grid, data.values * 1e7), 1)
+        comp = report.params_hat.components[0]
+        assert max(abs(comp.A), abs(comp.B)) >= 1e6 * (1 - 1e-6)
+        assert any("amplitude box" in note for note in report.diagnostics)
+        assert "amplitude box" in report_to_text(report)
+
+    def test_collapse_onto_equal_frequencies_raises_fit_error(self, two_component_truth, monkeypatch):
+        collapsed = OptimResult(
+            best_point=np.array([1.0, 2.0, 0.5, 0.7, 3.0, 4.0, 0.5, 0.7]),
+            best_value=1.0,
+            iterations=10,
+            converged=True,
+            termination="xtol",
+        )
+        monkeypatch.setattr(estimator, "nelder_mead", lambda *args, **kwargs: collapsed)
+        data = synthesize_signal(two_component_truth, Grid(20, 20))
+        with pytest.raises(FitError, match="pairwise distinct") as info:
+            fit(data, 2, init=two_component_truth)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestInitialGuess:

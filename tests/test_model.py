@@ -16,7 +16,7 @@ from lad2d import (
     trig_sum,
     write_signal_text,
 )
-from lad2d.model import trig_sum_batch
+from lad2d.model import model_grid_values, trig_sum_batch
 
 from conftest import random_model
 
@@ -82,6 +82,42 @@ class TestSynthesize:
             for c in two_component_truth.components
         )
         np.testing.assert_allclose(whole.values, parts, rtol=1e-12, atol=1e-12)
+
+
+def full_phase_surface(theta: np.ndarray, T: int, S: int) -> np.ndarray:
+    """Reference surface: every component's full phase lam*t + mu*s on the grid."""
+    t = np.arange(1, T + 1, dtype=float)[:, None]
+    s = np.arange(1, S + 1, dtype=float)[None, :]
+    out = np.zeros((T, S))
+    for A, B, lam, mu in np.reshape(theta, (-1, 4)):
+        phase = lam * t + mu * s
+        out += A * np.cos(phase) + B * np.sin(phase)
+    return out
+
+
+class TestModelGridValues:
+    amplitudes = st.floats(-1e3, 1e3, allow_nan=False)
+    frequencies = st.floats(0.0, math.pi, allow_nan=False)
+    components = st.tuples(amplitudes, amplitudes, frequencies, frequencies)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        comps=st.lists(components, min_size=1, max_size=3),
+        T=st.integers(2, 60),
+        S=st.integers(2, 60),
+        data=st.data(),
+    )
+    def test_matches_full_phase_and_ignores_component_order(self, comps, T, S, data):
+        theta = np.array(comps, dtype=float).ravel()
+        t = np.arange(1, T + 1, dtype=float)
+        s = np.arange(1, S + 1, dtype=float)
+        got = model_grid_values(theta, t, s)
+        assert got.shape == (T, S)
+        scale = 1.0 + sum(abs(A) + abs(B) for A, B, _, _ in comps)
+        assert np.max(np.abs(got - full_phase_surface(theta, T, S))) <= 1e-12 * scale
+        perm = data.draw(st.permutations(range(len(comps))))
+        permuted = np.array([comps[k] for k in perm], dtype=float).ravel()
+        assert np.array_equal(model_grid_values(permuted, t, s), got)
 
 
 class TestValidation:
