@@ -25,7 +25,6 @@ from .objective import (
     lad_objective_vec,
     lse_objective_vec,
     peak_candidates,
-    periodogram,
 )
 from .optimizer import OptimResult, SimplexConfig, nelder_mead
 
@@ -185,22 +184,109 @@ def _robustly_preprocessed(data: SignalField) -> SignalField:
     return SignalField(data.grid, centered)
 
 
+#: Peak refinement stops once a projected step moves no coordinate by more
+#: than this, or after this many steps.
+REFINE_X_TOLERANCE = 1e-12
+REFINE_MAX_STEPS = 100
+
+
+def _periodogram_derivatives(
+    y: np.ndarray, tp: np.ndarray, sp: np.ndarray, x: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """|z|^2, its gradient and its Hessian in (lam, mu) at x, where
+    z = sum_t sum_s y(t, s) exp(-i(lam t + mu s)).
+
+    ``tp`` and ``sp`` hold the rows (1, t, t^2) and (1, s, s^2), so one pass
+    M = [a, t a, t^2 a] @ y @ [b, s b, s^2 b]^T gives every derivative of z
+    up to second order: z_lam = -i M10, z_lam,lam = -M20, z_lam,mu = -M11.
+    """
+    left = tp * np.exp(-1j * x[0] * tp[1])
+    rows = np.concatenate([left.real, left.imag]) @ y  # y stays real
+    M = ((rows[:3] + 1j * rows[3:]) @ (sp * np.exp(-1j * x[1] * sp[1])).T).tolist()
+    z, zl, zm = M[0][0], -1j * M[1][0], -1j * M[0][1]
+    zc = z.conjugate()
+    cross = (zm.conjugate() * zl).real - (zc * M[1][1]).real
+    grad = np.array([(zc * zl).real, (zc * zm).real])
+    hess = np.array(
+        [
+            [abs(zl) ** 2 - (zc * M[2][0]).real, cross],
+            [cross, abs(zm) ** 2 - (zc * M[0][2]).real],
+        ]
+    )
+    return z.real**2 + z.imag**2, 2.0 * grad, 2.0 * hess
+
+
 def _refine_peak_frequency(
     field: SignalField, lam: float, mu: float, grid_refinement: int
 ) -> tuple[float, float]:
-    """Continuous local maximization of the periodogram around a lattice peak."""
+    """Local maximizer of the continuous periodogram next to a lattice peak.
+
+    Projected Newton ascent from (lam, mu) inside [0, pi]^2, on the field
+    divided by its largest |value| (the argmax is unchanged and the t^2, s^2
+    weights cannot overflow).  Each step is a Newton step where the Hessian
+    is negative definite, else a gradient step half a lattice cell long, or,
+    at a stationary point that is no maximum (a corner of the box can be
+    one), a step that long along the direction of largest curvature.  A
+    coordinate within ``REFINE_X_TOLERANCE`` of a bound whose gradient points
+    out of the box stays fixed for that step.  The step is clipped into the
+    box and halved until the periodogram does not decrease, and the ascent
+    stops when a step moves no coordinate by more than ``REFINE_X_TOLERANCE``.
+    A zero field or a non-finite value at the start returns the lattice
+    point; the refinement never raises.
+    """
+    start = np.clip(np.array([lam, mu], dtype=float), 0.0, np.pi)
+    scale = float(np.max(np.abs(field.values)))
+    if not scale > 0.0:
+        return float(start[0]), float(start[1])
+    y = field.values / scale
+    t, s = field.grid.t_values(), field.grid.s_values()
+    tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
     half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
-    cfg = SimplexConfig(
-        max_iterations=200, x_tolerance=1e-8, f_tolerance=1e-14,
-        initial_step=half_cell, restarts=0,
-    )
-    result = nelder_mead(
-        lambda v: -periodogram(field, v[0], v[1]),
-        [lam, mu],
-        bounds=[(0.0, np.pi), (0.0, np.pi)],
-        config=cfg,
-    )
-    return float(result.best_point[0]), float(result.best_point[1])
+
+    x = start
+    value, grad, hess = _periodogram_derivatives(y, tp, sp, x)
+    if not (np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return float(start[0]), float(start[1])
+    for _ in range(REFINE_MAX_STEPS):
+        # The top lattice frequency can sit an ulp below pi: count it as on.
+        low, high = x <= REFINE_X_TOLERANCE, x >= np.pi - REFINE_X_TOLERANCE
+        if np.all(low | high):
+            # I(lam, mu) = I(-lam, -mu) with period 2 pi, so every corner of
+            # the box is stationary and the computed gradient is rounding noise.
+            grad = np.zeros(2)
+        free = ~((low & (grad < 0.0)) | (high & (grad > 0.0)))
+        # A fixed coordinate gets zero gradient and a -1 Hessian row, so the
+        # 2x2 Newton solve leaves it in place.
+        g = np.where(free, grad, 0.0)
+        h = np.where(np.outer(free, free), hess, -np.eye(2))
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        if h[0, 0] < 0.0 and det > 0.0:  # negative definite
+            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0], h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
+        elif np.any(g != 0.0):
+            step = g * (half_cell / np.max(np.abs(g)))
+        else:
+            # A stationary point that is no maximum: leave it along the
+            # direction of largest curvature, whichever way enters the box.
+            curvature, vectors = np.linalg.eigh(h)
+            if curvature[-1] <= 0.0:
+                break
+            step = vectors[:, -1] * half_cell
+            ahead, back = (np.abs(np.clip(x + d, 0.0, np.pi) - x).max() for d in (step, -step))
+            if back > ahead:
+                step = -step
+        while True:
+            trial = np.clip(x + step, 0.0, np.pi)
+            moved = float(np.max(np.abs(trial - x)))
+            if moved <= REFINE_X_TOLERANCE:
+                break
+            trial_value, trial_grad, trial_hess = _periodogram_derivatives(y, tp, sp, trial)
+            if trial_value >= value:  # False for NaN, which halves the step
+                break
+            step /= 2.0
+        if moved <= REFINE_X_TOLERANCE:
+            break
+        x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+    return float(x[0]), float(x[1])
 
 
 def initial_guess(data: SignalField, p: int, grid_refinement: int = 2) -> ModelParams:
@@ -291,6 +377,7 @@ def _rescue_missed_components(
                 continue
             retry = nelder_mead(objective, trial, bounds, cfg)
             retry.iterations += best.iterations
+            retry.evaluations += best.evaluations
             if retry.best_value < best.best_value:
                 best = retry
                 improved = True
@@ -342,7 +429,7 @@ def fit(
             data, _robustly_preprocessed(data), objective, result, bounds, cfg, grid_refinement
         )
     try:
-        params_hat = ModelParams.from_vector(result.best_point)
+        params_hat = ModelParams.from_vector(result.best_point, amplitude_bound)
     except ValueError as exc:  # e.g. two components collapsed onto one frequency
         raise FitError(f"fit produced no valid model: {exc}") from exc
 

@@ -86,12 +86,13 @@ class ModelParams:
         return out
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "ModelParams":
+    def from_vector(cls, vec: np.ndarray, amplitude_bound: float = AMPLITUDE_BOUND) -> "ModelParams":
+        """Inverse of :meth:`as_vector`; amplitudes must lie within ``amplitude_bound``."""
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 1 or vec.size % 4 != 0 or vec.size == 0:
             raise ValueError(f"parameter vector length must be a positive multiple of 4, got {vec.size}")
         comps = tuple(
-            ComponentParams(vec[k], vec[k + 1], vec[k + 2], vec[k + 3])
+            ComponentParams(vec[k], vec[k + 1], vec[k + 2], vec[k + 3], amplitude_bound)
             for k in range(0, vec.size, 4)
         )
         return cls(comps)

@@ -74,7 +74,12 @@ def smoothed_lad_objective(params: ModelParams, data: SignalField, beta: float) 
 
 
 def periodogram(data: SignalField, lam: float, mu: float) -> float:
-    """|sum_t sum_s y(t,s) exp(-i(lam t + mu s))|^2 / (T S) at one frequency pair."""
+    """|sum_t sum_s y(t,s) exp(-i(lam t + mu s))|^2 / (T S) at one frequency pair.
+
+    Verification only: nothing in the package calls it.  The tests and the
+    acceptance suite use it as the reference for the lattice and for the
+    estimator's peak refinement.
+    """
     for name, value in (("lam", lam), ("mu", mu)):
         if not (0.0 <= value <= math.pi):
             raise ValueError(f"{name}={value} outside [0, pi]")

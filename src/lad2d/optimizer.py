@@ -55,6 +55,7 @@ class OptimResult:
     iterations: int
     converged: bool
     termination: str  # "xtol" | "ftol" | "maxiter"
+    evaluations: int  # objective calls, the initial point included
 
 
 def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -109,7 +110,7 @@ def nelder_mead(
         raise ValueError("initial steps must be positive")
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 2000 * n
 
-    evaluations = 0
+    evaluations = 1  # the initial point, evaluated directly below
 
     def f(x: np.ndarray) -> float:
         nonlocal evaluations
@@ -198,4 +199,5 @@ def nelder_mead(
         iterations=iterations,
         converged=termination != "maxiter",
         termination=termination,
+        evaluations=evaluations,
     )

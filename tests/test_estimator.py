@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lad2d import (
     ComponentParams,
@@ -27,7 +30,8 @@ from lad2d.estimator import (
     report_to_text,
 )
 from lad2d.noise import density_at_zero, noisy_observation
-from lad2d.optimizer import OptimResult
+from lad2d.objective import peak_candidates, periodogram
+from lad2d.optimizer import OptimResult, SimplexConfig, nelder_mead
 
 from conftest import random_model
 
@@ -236,6 +240,24 @@ class TestFit:
         assert any("amplitude box" in note for note in report.diagnostics)
         assert "amplitude box" in report_to_text(report)
 
+    def test_amplitude_bound_above_default_is_honoured(self, one_component_truth):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
+        report = fit(SignalField(data.grid, data.values * 1e7), 1, amplitude_bound=1e8)
+        comp = report.params_hat.components[0]
+        assert max(abs(comp.A), abs(comp.B)) > 1e6
+        assert abs(comp.lam - 0.4) < 0.01 and abs(comp.mu - 0.6) < 0.01
+
+    @pytest.mark.parametrize("seed,method", [(13, "lad"), (22, "lse")])
+    def test_rescue_swap_beats_joint_simplex_alone(self, seed, method):
+        # On these slash fields a noise bump out-shines the weak component in
+        # the start periodogram; only the rescue swap recovers it.
+        truth = ModelParams(
+            (ComponentParams(2.0, 1.0, 1.1, 1.9), ComponentParams(0.8, 0.6, 0.5, 0.36))
+        )
+        data = noisy_observation(truth, Grid(20, 20), NoiseSpec("slash"), seed)
+        alone = fit(data, 2, method=method, init=initial_guess(data, 2))
+        assert fit(data, 2, method=method).objective_value < alone.objective_value
+
     def test_collapse_onto_equal_frequencies_raises_fit_error(self, two_component_truth, monkeypatch):
         collapsed = OptimResult(
             best_point=np.array([1.0, 2.0, 0.5, 0.7, 3.0, 4.0, 0.5, 0.7]),
@@ -243,6 +265,7 @@ class TestFit:
             iterations=10,
             converged=True,
             termination="xtol",
+            evaluations=20,
         )
         monkeypatch.setattr(estimator, "nelder_mead", lambda *args, **kwargs: collapsed)
         data = synthesize_signal(two_component_truth, Grid(20, 20))
@@ -271,6 +294,118 @@ class TestInitialGuess:
         guess = initial_guess(SignalField(grid, values), 1)
         assert abs(guess.components[0].lam - 0.4) <= np.pi / 80
         assert abs(guess.components[0].mu - 0.6) <= np.pi / 80
+
+
+def nelder_mead_refinement(field, lam, mu, grid_refinement):
+    """The former peak refinement: a 2-D Nelder-Mead on the periodogram."""
+    half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
+    cfg = SimplexConfig(
+        max_iterations=200, x_tolerance=1e-8, f_tolerance=1e-14,
+        initial_step=half_cell, restarts=0,
+    )
+    result = nelder_mead(
+        lambda v: -periodogram(field, v[0], v[1]),
+        [lam, mu],
+        bounds=[(0.0, np.pi), (0.0, np.pi)],
+        config=cfg,
+    )
+    return float(result.best_point[0]), float(result.best_point[1])
+
+
+@st.composite
+def refinement_fields(draw):
+    """(field, isolated): noise, or one sinusoid in noise, possibly on an edge."""
+    T, S = draw(st.integers(8, 30)), draw(st.integers(8, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "sinusoid", "edge"]))
+    values = rng.normal(size=(T, S)) * draw(st.floats(0.0, 0.5))
+    if kind == "noise":
+        return SignalField(Grid(T, S), rng.normal(size=(T, S))), False
+    lam, mu = rng.uniform(0.3, np.pi - 0.3, size=2)
+    if kind == "edge":
+        edge = draw(st.sampled_from([0.0, np.pi]))
+        lam, mu = draw(st.sampled_from([(edge, mu), (lam, edge)]))
+    truth = ModelParams((ComponentParams(*rng.uniform(0.5, 3.0, size=2), lam, mu),))
+    return SignalField(Grid(T, S), synthesize_signal(truth, Grid(T, S)).values + values), True
+
+
+class TestRefinePeakFrequency:
+    @settings(max_examples=60, deadline=None)
+    @given(case=refinement_fields())
+    def test_matches_nelder_mead_oracle(self, case):
+        field, isolated = case
+        peaks = peak_candidates(field, 2, same_lobe_only=True, limit=3)
+        for rank, (lam, mu, _) in enumerate(peaks):
+            got = estimator._refine_peak_frequency(field, lam, mu, 2)
+            old = nelder_mead_refinement(field, lam, mu, 2)
+            assert all(0.0 <= v <= np.pi for v in got)
+            value = periodogram(field, *got)
+            assert value >= periodogram(field, lam, mu)
+            old_value = periodogram(field, *old)
+            assert value >= old_value * (1.0 - 1e-12)
+            # Once clamping puts every vertex of the simplex on a bound, it
+            # cannot leave that bound, so it is no reference off the bound.
+            stalled = any(o in (0.0, np.pi) and g not in (0.0, np.pi) for o, g in zip(old, got))
+            if isolated and rank == 0 and not stalled:
+                assert max(abs(got[0] - old[0]), abs(got[1] - old[1])) < 1e-7
+
+    def test_peak_on_mu_zero_stays_on_the_bound(self):
+        # The continuous maximum lies just below mu = 0 here, so a Newton
+        # step that ignores the bound leaves the box and drags lambda along.
+        truth = ModelParams((ComponentParams(2.0, 1.0, 1.3, 0.0),))
+        data = noisy_observation(truth, Grid(20, 20), NoiseSpec("gaussian", 1.0), 37)
+        lam, mu, _ = peak_candidates(data, 2, same_lobe_only=True, limit=1)[0]
+        got = estimator._refine_peak_frequency(data, lam, mu, 2)
+        old = nelder_mead_refinement(data, lam, mu, 2)
+        assert mu == 0.0 and got[1] == 0.0
+        assert max(abs(got[0] - old[0]), abs(got[1] - old[1])) < 1e-7
+
+    def test_top_lattice_frequency_an_ulp_below_pi_is_on_the_bound(self):
+        # With 22 columns the top lattice frequency pi * 44 / 44 rounds below pi.
+        field = SignalField(Grid(20, 22), np.random.default_rng(14).normal(size=(20, 22)))
+        lam, mu = np.pi * 16 / 40, np.pi * 44 / 44
+        assert (lam, mu) in [c[:2] for c in peak_candidates(field, 2, same_lobe_only=True, limit=8)]
+        assert mu < np.pi
+        got = estimator._refine_peak_frequency(field, lam, mu, 2)
+        old = nelder_mead_refinement(field, lam, mu, 2)
+        assert periodogram(field, *got) >= periodogram(field, *old) * (1.0 - 1e-12)
+        assert max(abs(got[0] - old[0]), abs(got[1] - old[1])) < 1e-7
+
+    def test_saddle_at_a_corner_is_left(self):
+        # Every corner of the box is stationary.  This one is a lattice peak
+        # but no maximum, and its computed gradient is rounding noise that
+        # points out of the box.
+        truth = ModelParams((ComponentParams(1.8, 0.7, 1.1, np.pi),))
+        data = noisy_observation(truth, Grid(10, 8), NoiseSpec("gaussian", 0.3), 1)
+        corner = (0.0, np.pi)
+        assert corner in [c[:2] for c in peak_candidates(data, 2, same_lobe_only=True, limit=8)]
+        got = estimator._refine_peak_frequency(data, *corner, 2)
+        old = nelder_mead_refinement(data, *corner, 2)
+        assert periodogram(data, *got) > periodogram(data, *corner)
+        assert periodogram(data, *got) >= periodogram(data, *old) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("fill", [0.0, 3.5])
+    @pytest.mark.parametrize("start", [(0.0, 0.0), (np.pi, np.pi), (0.7, 2.1)])
+    def test_zero_and_constant_fields(self, fill, start):
+        field = SignalField(Grid(9, 12), np.full((9, 12), fill))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimator._refine_peak_frequency(field, *start, 2)
+        assert all(0.0 <= v <= np.pi for v in got)
+        if fill == 0.0:
+            assert got == start
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales_refine_like_unit_scale(self, one_component_truth, scale):
+        data = noisy_observation(one_component_truth, Grid(16, 16), NoiseSpec("gaussian", 0.1), 2)
+        lam, mu, _ = peak_candidates(data, 2, limit=1)[0]
+        unit = estimator._refine_peak_frequency(data, lam, mu, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimator._refine_peak_frequency(
+                SignalField(data.grid, data.values * scale), lam, mu, 2
+            )
+        np.testing.assert_allclose(got, unit, atol=1e-9)
 
 
 class TestMatching:

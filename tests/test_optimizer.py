@@ -53,6 +53,16 @@ class TestBasics:
         # check the final answer actually equals it
         assert run_min[-1] == min(seen)
 
+    def test_evaluation_count_equals_objective_calls(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return quadratic(x)
+
+        result = nelder_mead(counted, [10.0, -10.0])
+        assert result.evaluations == len(calls)
+
     def test_nan_treated_as_worst(self):
         def partial(x):
             if x[0] > 1.2:
