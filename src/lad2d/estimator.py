@@ -1,9 +1,10 @@
 """End-to-end parameter estimation and asymptotic variances.
 
 The pipeline: locate frequencies from periodogram peaks, fit amplitudes by
-linear least squares at those frequencies, then jointly refine all 4p
-parameters with Nelder-Mead on the chosen objective (absolute or squared
-residuals).  Asymptotic variances for the robust estimator come from a
+linear least squares at those frequencies, then refine with Nelder-Mead on
+the chosen objective: all 4p parameters jointly for absolute residuals, the
+2p frequencies alone for squared residuals, whose amplitudes are solved at
+every step.  Asymptotic variances for the robust estimator come from a
 block-diagonal information-style matrix: each component contributes a 4x4
 block determined by its amplitudes, and the estimator's covariance is
 1/(4 g(0)^2) times the block inverse, divided by the convergence rates
@@ -13,7 +14,9 @@ frequencies).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,20 +145,118 @@ def _pack(coef: np.ndarray, freqs: list[tuple[float, float]]) -> np.ndarray:
     return vec.ravel()
 
 
+#: cos(lam t + mu s) = cos lam t cos mu s - sin lam t sin mu s and
+#: sin(lam t + mu s) = sin lam t cos mu s + cos lam t sin mu s, as weights
+#: indexed [A or B, cos or sin of lam t, cos or sin of mu s].
+_ANGLE_ADDITION = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+#: Gram weights of one pair of columns: rows (m, m'), columns (a, b, a', b').
+_GRAM_WEIGHTS = np.kron(_ANGLE_ADDITION.reshape(2, 4), _ANGLE_ADDITION.reshape(2, 4))
+
+#: Directions of the Gram matrix with an eigenvalue at most this share of the
+#: largest are dropped from the amplitude solve (a component on a corner of
+#: the box, where its sine column vanishes, or two collapsed components).
+RANK_RTOL = 1e-10
+#: Below this eigenvalue ratio the profiled least-squares value is taken on
+#: the grid: ||y||^2 - b'c then loses too many digits to cancellation.
+PROFILE_RTOL = 1e-3
+
+
+def _normal_equations(
+    y: np.ndarray, t: np.ndarray, s: np.ndarray, lams: np.ndarray, mus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and right-hand side of the amplitude least squares at fixed
+    frequencies, unknowns ordered (A_1..A_p, B_1..B_p).
+
+    Every column of the model is a signed sum of products of 1-D factors
+    ``Ct = [cos lam t; sin lam t]`` (2p x T) and ``Cs`` over s, so the
+    right-hand side comes from ``Ct @ y @ Cs^T`` and each Gram entry from
+    four products of entries of ``Ct Ct^T`` and ``Cs Cs^T``.  Nothing of size
+    TS x 2p is built.
+    """
+    p = lams.size
+    ang_t, ang_s = np.multiply.outer(lams, t), np.multiply.outer(mus, s)
+    ct = np.concatenate([np.cos(ang_t), np.sin(ang_t)])
+    cs = np.concatenate([np.cos(ang_s), np.sin(ang_s)])
+    pt = (ct @ ct.T).reshape(2, p, 2, p).transpose(0, 2, 1, 3)  # [a, a', j, k]
+    ps = (cs @ cs.T).reshape(2, p, 2, p).transpose(0, 2, 1, 3)
+    products = (pt[:, None, :, None] * ps[None, :, None, :]).reshape(16, p * p)
+    gram = (_GRAM_WEIGHTS @ products).reshape(2, 2, p, p).transpose(0, 2, 1, 3)
+    cross = np.diagonal((ct @ y @ cs.T).reshape(2, p, 2, p), axis1=1, axis2=3)  # [a, b, j]
+    return gram.reshape(2 * p, 2 * p), np.tensordot(_ANGLE_ADDITION, cross, 2).ravel()
+
+
+def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Rank-revealing solve: (coefficients, rhs . coefficients, well conditioned).
+
+    The explained sum of squares rhs . coefficients is a sum of positive
+    terms here, so it carries no cancellation of its own.
+    """
+    w, v = np.linalg.eigh(gram)
+    proj = rhs @ v
+    if w[0] <= RANK_RTOL * w[-1]:
+        keep = w > RANK_RTOL * w[-1]
+        w, v, proj = w[keep], v[:, keep], proj[keep]
+    scaled = proj / w
+    return v @ scaled, float(proj @ scaled), bool(w[0] > PROFILE_RTOL * w[-1])
+
+
+def _interleaved(coef: np.ndarray) -> np.ndarray:
+    """(A_1..A_p, B_1..B_p) -> (A_1, B_1, ..., A_p, B_p)."""
+    return coef.reshape(2, -1).T.ravel()
+
+
 def _amplitudes_given_frequencies(
     data: SignalField, freqs: list[tuple[float, float]]
 ) -> np.ndarray:
     """Least-squares (A_k, B_k) at fixed frequencies; the model is linear there."""
-    t = data.grid.t_values()[:, None]
-    s = data.grid.s_values()[None, :]
-    columns = []
-    for lam, mu in freqs:
-        phase = lam * t + mu * s
-        columns.append(np.cos(phase).ravel())
-        columns.append(np.sin(phase).ravel())
-    design = np.column_stack(columns)
-    coef, *_ = np.linalg.lstsq(design, data.values.ravel(), rcond=None)
-    return coef
+    lams, mus = np.asarray(freqs, dtype=float).T
+    gram, rhs = _normal_equations(
+        data.values, data.grid.t_values(), data.grid.s_values(), lams, mus
+    )
+    return _interleaved(_solve_normal_equations(gram, rhs)[0])
+
+
+class _LeastSquaresProfile:
+    """The least-squares objective with the amplitudes solved out (variable
+    projection, Golub & Pereyra 1973): a function of the 2p frequencies
+    (lam_1, mu_1, ..., lam_p, mu_p) alone, in units of the data's mean
+    square, so that a simplex's ``f_tolerance`` on it is relative and the
+    fit is scale-equivariant.
+
+    At a well-conditioned Gram matrix the objective is (||y||^2 - b'c) / TS,
+    with b the right-hand side and c the solved amplitudes.  Where the
+    amplitudes leave the box, or the Gram matrix is ill-conditioned, it is
+    the direct objective at the amplitudes :meth:`vector` returns (clipped
+    to the box).
+    """
+
+    def __init__(self, data: SignalField, amplitude_bound: float) -> None:
+        self.data = data
+        self.amplitude_bound = amplitude_bound
+        self.t, self.s = data.grid.t_values(), data.grid.s_values()
+        self.sum_squares = float(np.vdot(data.values, data.values))
+        self.mean_square = self.sum_squares / data.grid.n or 1.0
+
+    def _solve(self, freqs: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        gram, rhs = _normal_equations(self.data.values, self.t, self.s, freqs[0::2], freqs[1::2])
+        return _solve_normal_equations(gram, rhs)
+
+    def _vector(self, coef: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+        coef = np.clip(_interleaved(coef), -self.amplitude_bound, self.amplitude_bound)
+        return _pack(coef, np.reshape(freqs, (-1, 2)))
+
+    def __call__(self, freqs: np.ndarray) -> float:
+        coef, explained, conditioned = self._solve(freqs)
+        if conditioned and np.abs(coef).max() <= self.amplitude_bound:
+            objective = (self.sum_squares - explained) / self.data.grid.n
+        else:
+            objective = lse_objective_vec(self._vector(coef, freqs), self.data)
+        return objective / self.mean_square
+
+    def vector(self, freqs: np.ndarray) -> np.ndarray:
+        """Full (A1, B1, lam1, mu1, ...) vector at ``freqs``, amplitudes solved
+        and clipped to the box."""
+        return self._vector(self._solve(freqs)[0], freqs)
 
 
 #: Winsorization width (in robust MADs around the median) applied to the data
@@ -289,7 +390,12 @@ def _refine_peak_frequency(
     return float(x[0]), float(x[1])
 
 
-def initial_guess(data: SignalField, p: int, grid_refinement: int = 2) -> ModelParams:
+def initial_guess(
+    data: SignalField,
+    p: int,
+    grid_refinement: int = 2,
+    amplitude_bound: float = AMPLITUDE_BOUND,
+) -> ModelParams:
     """Truth-agnostic starting point for the joint optimization.
 
     Runs on a centered, winsorized copy of the data so constant offsets and
@@ -299,6 +405,7 @@ def initial_guess(data: SignalField, p: int, grid_refinement: int = 2) -> ModelP
     so far (the model is linear there), and peel the partial fit off before
     looking for the next peak.  Peeling keeps weak components visible next to
     strong ones; the estimate itself still comes from the joint minimization.
+    Start amplitudes are clipped to ``amplitude_bound``.
     """
     clipped = _robustly_preprocessed(data)
     t, s = data.grid.t_values(), data.grid.s_values()
@@ -321,8 +428,8 @@ def initial_guess(data: SignalField, p: int, grid_refinement: int = 2) -> ModelP
             fitted = model_grid_values(_pack(coef, freqs), t, s)
             residual = SignalField(data.grid, clipped.values - fitted)
     # Data at a huge scale can ask for amplitudes ModelParams cannot hold.
-    coef = np.clip(coef, -AMPLITUDE_BOUND, AMPLITUDE_BOUND)
-    return ModelParams.from_vector(_pack(coef, freqs))
+    coef = np.clip(coef, -amplitude_bound, amplitude_bound)
+    return ModelParams.from_vector(_pack(coef, freqs), amplitude_bound)
 
 
 def default_fit_config(p: int, grid: Grid) -> SimplexConfig:
@@ -330,6 +437,15 @@ def default_fit_config(p: int, grid: Grid) -> SimplexConfig:
     frequencies (the frequency objective has an O(1/T) wide basin)."""
     freq_step = 0.5 / min(grid.T, grid.S)
     return SimplexConfig(initial_step=[0.1, 0.1, freq_step, freq_step] * p)
+
+
+def _frequency_config(cfg: SimplexConfig, p: int) -> SimplexConfig:
+    """``cfg`` for the simplex over the 2p frequencies alone: a per-coordinate
+    ``initial_step`` of length 4p keeps its frequency entries."""
+    steps = np.asarray(cfg.initial_step, dtype=float)
+    if steps.shape != (4 * p,):
+        return cfg
+    return dataclasses.replace(cfg, initial_step=steps.reshape(p, 4)[:, 2:].ravel().tolist())
 
 
 def _rescue_missed_components(
@@ -340,6 +456,7 @@ def _rescue_missed_components(
     bounds,
     cfg: SimplexConfig,
     grid_refinement: int,
+    profile: _LeastSquaresProfile | None = None,
 ) -> OptimResult:
     """Swap a fitted component for a peak left in the residual, if that helps.
 
@@ -351,15 +468,19 @@ def _rescue_missed_components(
     re-optimize from the first start that already beats the incumbent
     objective.  Swapping one noise bump for another never clears that gate,
     so healthy fits pay only a handful of objective evaluations.
+
+    Without ``profile`` a simplex point is the full (A1, B1, lam1, mu1, ...)
+    vector and a start's amplitudes are refit on ``clipped``; with it a point
+    holds the frequencies alone and ``profile`` solves the amplitudes.
     """
     t, s = data.grid.t_values(), data.grid.s_values()
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     best = result
-    p = best.best_point.size // 4
+    p = len(bounds) // (4 if profile is None else 2)
     scan = max(8, 2 * p)
     for _ in range(p):
-        vec = best.best_point
+        vec = best.best_point if profile is None else profile.vector(best.best_point)
         freqs = [(vec[4 * k + 2], vec[4 * k + 3]) for k in range(p)]
         residual = SignalField(data.grid, clipped.values - model_grid_values(vec, t, s))
         candidates = peak_candidates(
@@ -371,8 +492,11 @@ def _rescue_missed_components(
             lam, mu = _refine_peak_frequency(residual, lam, mu, grid_refinement)
             new_freqs = list(freqs)
             new_freqs[weakest] = (lam, mu)
-            coef = _amplitudes_given_frequencies(clipped, new_freqs)
-            trial = np.clip(_pack(coef, new_freqs), lo, hi)
+            if profile is None:
+                coef = _amplitudes_given_frequencies(clipped, new_freqs)
+                trial = np.clip(_pack(coef, new_freqs), lo, hi)
+            else:
+                trial = np.ravel(new_freqs)
             if objective(trial) >= best.best_value:
                 continue
             retry = nelder_mead(objective, trial, bounds, cfg)
@@ -399,6 +523,15 @@ def fit(
 ) -> EstimateReport:
     """Fit p components to the observed field by the chosen objective.
 
+    LAD runs Nelder-Mead over all 4p parameters.  LSE profiles the
+    amplitudes out: at fixed frequencies they solve a 2p x 2p linear system,
+    so its simplex runs over the 2p frequencies alone, its iteration count
+    counts that simplex, and its amplitudes come from the solve, clipped to
+    ``amplitude_bound``.  Of a ``config`` whose ``initial_step`` has one
+    entry per parameter (4p), the LSE simplex uses the frequency entries; a
+    scalar step applies to it as given.  That simplex sees the objective in
+    units of the data's mean square, so its ``f_tolerance`` is relative.
+
     ``noise_for_se`` attaches asymptotic standard errors (robust objective
     only); it supplies the noise density at zero analytically.
     """
@@ -413,37 +546,61 @@ def fit(
     if init is not None and init.p != p:
         raise ValueError(f"init has {init.p} components, expected {p}")
 
-    start = init if init is not None else initial_guess(data, p, grid_refinement)
+    start = init if init is not None else initial_guess(data, p, grid_refinement, amplitude_bound)
     x0 = start.as_vector()
-    np.clip(x0[0::4], -amplitude_bound, amplitude_bound, out=x0[0::4])
-    np.clip(x0[1::4], -amplitude_bound, amplitude_bound, out=x0[1::4])
-
-    bounds = [(-amplitude_bound, amplitude_bound), (-amplitude_bound, amplitude_bound), (0.0, np.pi), (0.0, np.pi)] * p
     cfg = config or default_fit_config(p, data.grid)
-    objective_vec = lad_objective_vec if method == "lad" else lse_objective_vec
-    objective = lambda th: objective_vec(th, data)
+    profile, shift = None, 0
+    if method == "lad":
+        # The simplex's steps and tolerances are absolute, sized for
+        # amplitudes inside the default box.  A start beyond it (the caller
+        # widened the box) is fitted on the data times 2^-shift, which is
+        # exact, and scaled back.
+        amplitudes = x0.reshape(p, 4)[:, :2]  # a view into x0
+        largest = float(np.abs(amplitudes).max())
+        if largest > AMPLITUDE_BOUND:
+            shift = math.frexp(largest)[1]
+            data = SignalField(data.grid, np.ldexp(data.values, -shift))
+            np.ldexp(amplitudes, -shift, out=amplitudes)
+        bound = math.ldexp(amplitude_bound, -shift)
+        np.clip(amplitudes, -bound, bound, out=amplitudes)
+        bounds = [(-bound, bound), (-bound, bound), (0.0, np.pi), (0.0, np.pi)] * p
+        objective = lambda th: lad_objective_vec(th, data)
+    else:
+        # No shift: this simplex has no amplitude coordinates.
+        profile = _LeastSquaresProfile(data, amplitude_bound)
+        x0 = x0.reshape(p, 4)[:, 2:].ravel()
+        bounds = [(0.0, np.pi)] * (2 * p)
+        cfg = _frequency_config(cfg, p)
+        objective = profile
 
     result: OptimResult = nelder_mead(objective, x0, bounds, cfg)
     if init is None:
         result = _rescue_missed_components(
-            data, _robustly_preprocessed(data), objective, result, bounds, cfg, grid_refinement
+            data, _robustly_preprocessed(data), objective, result, bounds, cfg, grid_refinement,
+            profile,
         )
+    if profile is None:
+        vec, value = result.best_point.copy(), math.ldexp(result.best_value, shift)
+        np.ldexp(vec.reshape(p, 4)[:, :2], shift, out=vec.reshape(p, 4)[:, :2])
+    else:
+        vec = profile.vector(result.best_point)
+        value = lse_objective_vec(vec, data)
     try:
-        params_hat = ModelParams.from_vector(result.best_point, amplitude_bound)
+        params_hat = ModelParams.from_vector(vec, amplitude_bound)
     except ValueError as exc:  # e.g. two components collapsed onto one frequency
         raise FitError(f"fit produced no valid model: {exc}") from exc
 
     report = EstimateReport(
         method=method,
         params_hat=params_hat,
-        objective_value=result.best_value,
+        objective_value=value,
         grid=data.grid,
         iterations=result.iterations,
         converged=result.converged,
     )
     if not result.converged:
         report.diagnostics += ("optimizer hit the iteration limit",)
-    amplitudes = np.abs(result.best_point.reshape(-1, 4)[:, :2])
+    amplitudes = np.abs(vec.reshape(-1, 4)[:, :2])
     if np.any(amplitudes >= amplitude_bound * (1.0 - PINNED_RTOL)):
         report.diagnostics += (
             f"an amplitude is pinned at the amplitude bound {amplitude_bound!r}: "

@@ -262,6 +262,22 @@ def _emit_text(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_steps(text: str) -> float | list[float]:
+    steps = [float(v) for v in text.split(",")]
+    return steps[0] if len(steps) == 1 else steps
+
+
+#: The ``optimizer.<field>`` config keys: the SimplexConfig fields a config
+#: may set, each with the parser of its value.
+_OPTIMIZER_KEYS = {
+    "max_iterations": int,
+    "x_tolerance": float,
+    "f_tolerance": float,
+    "restarts": int,
+    "initial_step": _parse_steps,
+}
+
+
 def read_experiment_config(text: str) -> ExperimentSpec:
     """Parse the plain-text key=value experiment description.
 
@@ -327,25 +343,12 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     )
     optimizer = None
     if optimizer_fields:
-        kwargs: dict[str, object] = {}
-        if "max_iterations" in optimizer_fields:
-            kwargs["max_iterations"] = int(optimizer_fields["max_iterations"])
-        if "x_tolerance" in optimizer_fields:
-            kwargs["x_tolerance"] = float(optimizer_fields["x_tolerance"])
-        if "f_tolerance" in optimizer_fields:
-            kwargs["f_tolerance"] = float(optimizer_fields["f_tolerance"])
-        if "restarts" in optimizer_fields:
-            kwargs["restarts"] = int(optimizer_fields["restarts"])
-        if "initial_step" in optimizer_fields:
-            steps = [float(v) for v in optimizer_fields["initial_step"].split(",")]
-            kwargs["initial_step"] = steps[0] if len(steps) == 1 else steps
-        unknown = set(optimizer_fields) - {
-            "max_iterations",
-            "x_tolerance",
-            "f_tolerance",
-            "restarts",
-            "initial_step",
+        kwargs = {
+            key: parse(optimizer_fields[key])
+            for key, parse in _OPTIMIZER_KEYS.items()
+            if key in optimizer_fields
         }
+        unknown = set(optimizer_fields) - set(_OPTIMIZER_KEYS)
         if unknown:
             raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
         optimizer = SimplexConfig(**kwargs)

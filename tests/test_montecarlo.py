@@ -284,6 +284,28 @@ class TestConfig:
         assert spec.optimizer.max_iterations == 500
         assert spec.optimizer.restarts == 0
 
+    def test_optimizer_table_parses_every_key(self):
+        spec = read_experiment_config(
+            "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
+            "optimizer.x_tolerance=1e-7\noptimizer.f_tolerance=1e-10\n"
+            "optimizer.initial_step=0.1,0.1,0.02,0.02\n"
+        )
+        assert spec.optimizer.x_tolerance == 1e-7 and spec.optimizer.f_tolerance == 1e-10
+        assert spec.optimizer.initial_step == [0.1, 0.1, 0.02, 0.02]
+        assert spec.optimizer.max_iterations is None and spec.optimizer.restarts == 1
+        scalar = read_experiment_config(
+            "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
+            "optimizer.initial_step=0.05\n"
+        )
+        assert scalar.optimizer.initial_step == 0.05
+
+    def test_unknown_optimizer_key_is_named(self):
+        with pytest.raises(ValueError, match=r"unknown optimizer config keys: \['alpha'\]"):
+            read_experiment_config(
+                "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
+                "optimizer.alpha=2\noptimizer.restarts=0\n"
+            )
+
     @pytest.mark.parametrize(
         "text",
         [
