@@ -14,10 +14,8 @@ from .model import (
     Grid,
     ModelParams,
     SignalField,
-    evaluate_model,
     read_signal_text,
     synthesize_signal,
-    trig_sum,
     write_signal_text,
 )
 from .montecarlo import (
@@ -37,16 +35,7 @@ from .noise import (
     parse_noise_spec,
     sample_noise,
 )
-from .objective import (
-    PeakPickingError,
-    lad_objective,
-    lse_objective,
-    periodogram,
-    pick_peaks,
-    residual_field,
-    smooth_abs,
-    smoothed_lad_objective,
-)
+from .objective import PeakPickingError, pick_peaks
 from .optimizer import OptimResult, SimplexConfig, nelder_mead
 from .texture import (
     GrayImage,
@@ -55,6 +44,16 @@ from .texture import (
     read_pgm,
     texture_demo,
     write_pgm,
+)
+from .theory import (
+    evaluate_model,
+    lad_objective,
+    lse_objective,
+    periodogram,
+    residual_field,
+    smooth_abs,
+    smoothed_lad_objective,
+    trig_sum,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ codes are stable for scripting: 0 success, 1 fit or peak-picking failure,
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import re
 import sys
 
@@ -16,10 +18,10 @@ import click
 
 from .estimator import FitError, asymptotic_variances, fit, parameter_names, report_to_csv, report_to_text
 from .model import ComponentParams, Grid, ModelParams, read_signal_text, write_signal_text
-from .montecarlo import emit_table, read_experiment_config, run_experiment
+from .montecarlo import emit_table, parse_grids, read_experiment_config, run_experiment
 from .noise import NoiseSpec, density_at_zero, noisy_observation, parse_noise_spec
 from .objective import PeakPickingError, periodogram_lattice, pick_peaks
-from .texture import texture_demo, write_pgm
+from .texture import mean_absolute_pixel_error, texture_demo, write_pgm
 
 _COMPONENT_FLAG = re.compile(r"^--([ABlm])([1-9][0-9]*)$")
 _FLAG_TO_FIELD = {"A": "A", "B": "B", "l": "lam", "m": "mu"}
@@ -76,19 +78,12 @@ def _component_options(params: ModelParams | None) -> dict[str, float]:
     return out
 
 
-def _write_text(path: str, content: str) -> None:
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(content)
-    except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-
-
-def _write_bytes(path: str, content: bytes) -> None:
+def _write(path: str, content: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes to ``path``; a failure exits 2."""
+    data = content.encode() if isinstance(content, str) else content
     try:
         with open(path, "wb") as fh:
-            fh.write(content)
+            fh.write(data)
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc}", err=True)
         sys.exit(EXIT_USAGE)
@@ -96,21 +91,32 @@ def _write_bytes(path: str, content: bytes) -> None:
 
 def _write_meta(path: str, command: str, options: dict) -> None:
     meta = {"command": command, "options": options}
-    _write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _read_signal(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_USAGE)
+
+
+def _read_signal(path: str):
+    text = _read_text(path)
     try:
         return read_signal_text(text)
     except ValueError as exc:
         click.echo(f"error: cannot parse {path}: {exc}", err=True)
         sys.exit(EXIT_USAGE)
+
+
+def _grid(T: int, S: int) -> Grid:
+    try:
+        return Grid(T, S)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _parse_noise(text: str) -> NoiseSpec:
@@ -138,13 +144,10 @@ def main() -> None:
 def simulate(p, T, S, noise_text, seed, out_path, component_flags) -> None:
     """Write a synthetic observation as a plain-text matrix."""
     truth = _parse_component_flags(component_flags, p, required=True)
-    try:
-        grid = Grid(T, S)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    grid = _grid(T, S)
     spec = _parse_noise(noise_text)
     field = noisy_observation(truth, grid, spec, seed)
-    _write_text(out_path, write_signal_text(field))
+    _write(out_path, write_signal_text(field))
     options = {"p": p, "T": T, "S": S, "noise": noise_text, "seed": seed, "out": out_path}
     options.update(_component_options(truth))
     _write_meta(out_path + ".meta", "simulate", options)
@@ -174,8 +177,8 @@ def estimate(in_path, p, method, se_noise_text, refinement, out_stem, component_
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
-    _write_text(out_stem + ".csv", report_to_csv(report))
-    _write_text(out_stem + ".txt", report_to_text(report))
+    _write(out_stem + ".csv", report_to_csv(report))
+    _write(out_stem + ".txt", report_to_text(report))
     options = {"in": in_path, "p": p, "method": method, "se_noise": se_noise_text,
                "refinement": refinement, "out": out_stem}
     options.update(_component_options(init))
@@ -188,21 +191,24 @@ def estimate(in_path, p, method, se_noise_text, refinement, out_stem, component_
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Worker processes; results are identical for any value.")
-def mc(config_path, out_dir, jobs) -> None:
+@click.option("--reps", type=int, default=None, help="Replications per grid; overrides the config's reps.")
+@click.option("--grids", "grids_text", default=None,
+              help="Grid list TxS[,TxS...]; overrides the config's grids.")
+def mc(config_path, out_dir, jobs, reps, grids_text) -> None:
     """Run a replicated experiment from a config file; write CSV and text tables."""
-    import os
-
-    try:
-        with open(config_path) as fh:
-            config_text = fh.read()
-    except OSError as exc:
-        click.echo(f"error: cannot read {config_path}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    config_text = _read_text(config_path)
     try:
         spec = read_experiment_config(config_text)
     except ValueError as exc:
         click.echo(f"error: bad config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
+    try:
+        if reps is not None:
+            spec = dataclasses.replace(spec, replications=reps)
+        if grids_text is not None:
+            spec = dataclasses.replace(spec, grids=parse_grids(grids_text))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -210,11 +216,11 @@ def mc(config_path, out_dir, jobs) -> None:
         sys.exit(EXIT_USAGE)
     result = run_experiment(spec, n_jobs=jobs)
     csv_path = os.path.join(out_dir, "results.csv")
-    _write_text(csv_path, emit_table(result, "csv"))
-    _write_text(os.path.join(out_dir, "results.txt"), emit_table(result, "text"))
+    _write(csv_path, emit_table(result, "csv"))
+    _write(os.path.join(out_dir, "results.txt"), emit_table(result, "text"))
     # jobs is deliberately not recorded: it does not affect the results.
     _write_meta(os.path.join(out_dir, "results.meta"), "mc",
-                {"config": config_text, "out": out_dir})
+                {"config": config_text, "out": out_dir, "reps": reps, "grids": grids_text})
     click.echo(f"wrote {csv_path}")
 
 
@@ -228,10 +234,7 @@ def mc(config_path, out_dir, jobs) -> None:
 def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
     """Print theoretical per-parameter variances of the robust estimator."""
     truth = _parse_component_flags(component_flags, p, required=True)
-    try:
-        grid = Grid(T, S)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    grid = _grid(T, S)
     spec = _parse_noise(noise_text)
     if spec.family == "none":
         raise click.UsageError("noiseless model has no density; choose a noise family")
@@ -243,7 +246,7 @@ def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
     table = "\n".join(lines) + "\n"
     click.echo(table, nl=False)
     if out_path:
-        _write_text(out_path, table)
+        _write(out_path, table)
         options = {"p": p, "T": T, "S": S, "noise": noise_text, "out": out_path}
         options.update(_component_options(truth))
         _write_meta(out_path + ".meta", "asyvar", options)
@@ -262,7 +265,7 @@ def periodogram(in_path, p, refinement, out_path) -> None:
     for i, lam in enumerate(lams):
         for j, mu in enumerate(mus):
             lines.append(f"{float(lam)!r},{float(mu)!r},{float(intensity[i, j])!r}")
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write(out_path, "\n".join(lines) + "\n")
     _write_meta(out_path + ".meta", "periodogram",
                 {"in": in_path, "p": p, "refinement": refinement, "out": out_path})
     try:
@@ -284,28 +287,26 @@ def periodogram(in_path, p, refinement, out_path) -> None:
 @click.option("--out", "out_stem", required=True, type=click.Path())
 @click.argument("component_flags", nargs=-1, type=click.UNPROCESSED)
 def texture(p, T, S, noise_text, seed, method, out_stem, component_flags) -> None:
-    """Render noisy / clean / recovered textures as PGM images plus a report."""
+    """Render noisy / clean / recovered PGM textures; report the fit and the recovery MAE."""
     truth = _parse_component_flags(component_flags, p, required=True)
-    try:
-        grid = Grid(T, S)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    grid = _grid(T, S)
     spec = _parse_noise(noise_text)
     try:
         demo = texture_demo(truth, grid, spec, seed, method=method)
     except (PeakPickingError, FitError) as exc:
         click.echo(f"error: fit failed: {exc}", err=True)
         sys.exit(EXIT_FIT_FAILURE)
-    _write_bytes(out_stem + "_noisy.pgm", write_pgm(demo.noisy))
-    _write_bytes(out_stem + "_clean.pgm", write_pgm(demo.clean))
-    _write_bytes(out_stem + "_recovered.pgm", write_pgm(demo.recovered))
-    _write_text(out_stem + "_report.csv", report_to_csv(demo.report))
-    _write_text(out_stem + "_report.txt", report_to_text(demo.report))
+    for label, image in (("noisy", demo.noisy), ("clean", demo.clean), ("recovered", demo.recovered)):
+        _write(f"{out_stem}_{label}.pgm", write_pgm(image))
+    _write(out_stem + "_report.csv", report_to_csv(demo.report))
+    _write(out_stem + "_report.txt", report_to_text(demo.report))
     options = {"p": p, "T": T, "S": S, "noise": noise_text, "seed": seed,
                "method": method, "out": out_stem}
     options.update(_component_options(truth))
     _write_meta(out_stem + ".meta", "texture", options)
     click.echo(report_to_text(demo.report), nl=False)
+    mae = mean_absolute_pixel_error(demo.recovered, demo.clean)
+    click.echo(f"recovered-vs-clean MAE: {mae!r} gray levels")
 
 
 if __name__ == "__main__":

@@ -655,14 +655,9 @@ def aligned_vector(estimated: ModelParams, truth: ModelParams) -> np.ndarray:
     return ModelParams(comps).as_vector()
 
 
-def _canonical_component_order(report: EstimateReport) -> list[int]:
-    comps = report.params_hat.components
-    return sorted(range(len(comps)), key=lambda k: -(comps[k].A ** 2 + comps[k].B ** 2))
-
-
 def report_to_csv(report: EstimateReport) -> str:
     """One-row CSV; components in descending-energy order."""
-    order = _canonical_component_order(report)
+    order = report.params_hat.canonical_order()
     p = report.params_hat.p
     header = ["method", "p", "T", "S", "objective", "converged", "iterations"]
     row = [
@@ -689,7 +684,7 @@ def report_to_csv(report: EstimateReport) -> str:
 
 def report_to_text(report: EstimateReport) -> str:
     """Human-readable summary block."""
-    order = _canonical_component_order(report)
+    order = report.params_hat.canonical_order()
     lines = [
         f"method: {report.method}",
         f"grid: {report.grid.T} x {report.grid.S}",

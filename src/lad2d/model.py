@@ -6,7 +6,8 @@ The signal model is a sum of p plane waves
 
 observed at integer positions t = 1..T, s = 1..S (1-based on purpose: every
 downstream formula assumes it).  Fields are stored row-major as (T, S) float64
-arrays and are frozen after construction so they can be shared freely.
+arrays and are frozen after construction so they can be shared freely.  The
+pointwise model and the trigonometric-sum lemmas live in :mod:`lad2d.theory`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 
 #: Default half-width of the compact box that amplitudes must live in.
 AMPLITUDE_BOUND = 1e6
-
-_TRIG_KINDS = ("cos2", "sin2", "cos", "sin", "sincos")
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,14 @@ class ModelParams:
         )
         return cls(comps)
 
+    def canonical_order(self) -> list[int]:
+        """Component indices by descending energy A^2+B^2; ties keep their order."""
+        comps = self.components
+        return sorted(range(self.p), key=lambda k: -(comps[k].A ** 2 + comps[k].B ** 2))
+
     def canonically_ordered(self) -> "ModelParams":
-        """Components sorted by descending energy A^2+B^2 (reporting order only)."""
-        order = sorted(range(self.p), key=lambda k: -self.components[k].magnitude)
-        return ModelParams(tuple(self.components[k] for k in order))
+        """Components in :meth:`canonical_order` (reporting order only)."""
+        return ModelParams(tuple(self.components[k] for k in self.canonical_order()))
 
 
 @dataclass(frozen=True)
@@ -154,17 +157,6 @@ class SignalField:
         return self.grid == other.grid and np.array_equal(self.values, other.values)
 
 
-def evaluate_model(params: ModelParams, t: int, s: int) -> float:
-    """Noiseless model value at a single 1-based position (t, s)."""
-    if t < 1 or s < 1:
-        raise ValueError(f"grid positions are 1-based, got ({t}, {s})")
-    total = 0.0
-    for c in params.components:
-        phase = c.lam * t + c.mu * s
-        total += c.A * math.cos(phase) + c.B * math.sin(phase)
-    return total
-
-
 def model_grid_values(theta: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Model surface for a flat parameter vector over coordinate arrays t, s.
 
@@ -191,67 +183,6 @@ def synthesize_signal(params: ModelParams, grid: Grid) -> SignalField:
     """Noiseless model evaluated at every grid position."""
     values = model_grid_values(params.as_vector(), grid.t_values(), grid.s_values())
     return SignalField(grid, values)
-
-
-def _trig_kind_values(kind: str, phase: np.ndarray) -> np.ndarray:
-    if kind == "cos2":
-        return np.cos(phase) ** 2
-    if kind == "sin2":
-        return np.sin(phase) ** 2
-    if kind == "cos":
-        return np.cos(phase)
-    if kind == "sin":
-        return np.sin(phase)
-    if kind == "sincos":
-        return np.sin(phase) * np.cos(phase)
-    raise ValueError(f"unknown trig kind {kind!r}; expected one of {_TRIG_KINDS}")
-
-
-def _check_trig_args(kind: str, k1: int, k2: int, theta1: float, theta2: float) -> None:
-    if kind not in _TRIG_KINDS:
-        raise ValueError(f"unknown trig kind {kind!r}; expected one of {_TRIG_KINDS}")
-    if k1 not in (0, 1, 2) or k2 not in (0, 1, 2):
-        raise ValueError(f"index powers must be in {{0,1,2}}, got ({k1}, {k2})")
-    for name, value in (("theta1", theta1), ("theta2", theta2)):
-        if not (0.0 < value < math.pi):
-            raise ValueError(f"{name}={value} must lie strictly inside (0, pi)")
-
-
-def trig_sum(kind: str, k1: int, k2: int, theta1: float, theta2: float, grid: Grid) -> float:
-    """Normalized index-weighted trigonometric double sum.
-
-    Returns (1 / (T^(k1+1) S^(k2+1))) sum_t sum_s t^k1 s^k2 f(theta1*t + theta2*s)
-    with f selected by ``kind``.  These empirical means settle to simple
-    constants as the grid grows, which the test suite exploits.
-    """
-    _check_trig_args(kind, k1, k2, theta1, theta2)
-    t, s = grid.t_values(), grid.s_values()
-    f = _trig_kind_values(kind, np.add.outer(theta1 * t, theta2 * s))
-    total = (t**k1) @ f @ (s**k2)
-    return float(total / (grid.T ** (k1 + 1) * grid.S ** (k2 + 1)))
-
-
-def trig_sum_batch(theta1: float, theta2: float, grid: Grid) -> dict[tuple[str, int, int], float]:
-    """All 45 (kind, k1, k2) trig sums for one frequency pair in a single pass.
-
-    Equivalent to calling :func:`trig_sum` for every combination but shares the
-    phase evaluation, which matters at large grids.
-    """
-    _check_trig_args("cos", 1, 1, theta1, theta2)
-    t, s = grid.t_values(), grid.s_values()
-    phase = np.add.outer(theta1 * t, theta2 * s)
-    c, sn = np.cos(phase), np.sin(phase)
-    kind_fields = {"cos2": c * c, "sin2": sn * sn, "cos": c, "sin": sn, "sincos": sn * c}
-    w_t = np.vstack([t**k for k in range(3)])  # (3, T)
-    w_s = np.vstack([s**k for k in range(3)])  # (3, S)
-    out: dict[tuple[str, int, int], float] = {}
-    for kind, f in kind_fields.items():
-        table = w_t @ f @ w_s.T  # (3, 3), entry [k1, k2]
-        for k1 in range(3):
-            for k2 in range(3):
-                norm = grid.T ** (k1 + 1) * grid.S ** (k2 + 1)
-                out[(kind, k1, k2)] = float(table[k1, k2] / norm)
-    return out
 
 
 def _format_real(x: float) -> str:

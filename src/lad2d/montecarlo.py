@@ -278,6 +278,12 @@ _OPTIMIZER_KEYS = {
 }
 
 
+def parse_grids(text: str) -> tuple[Grid, ...]:
+    """Parse a comma list of grid sizes, e.g. ``25x25,50x50``; blank entries are skipped."""
+    sizes = (token.strip().partition("x") for token in text.split(",") if token.strip())
+    return tuple(Grid(int(T), int(S)) for T, _, S in sizes)
+
+
 def read_experiment_config(text: str) -> ExperimentSpec:
     """Parse the plain-text key=value experiment description.
 
@@ -327,13 +333,7 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         comps.append(ComponentParams(fields["A"], fields["B"], fields["lambda"], fields["mu"]))
     truth = ModelParams(tuple(comps))
 
-    grids = []
-    for token in simple.get("grids", "").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        T, _, S = token.partition("x")
-        grids.append(Grid(int(T), int(S)))
+    grids = parse_grids(simple.get("grids", ""))
     if not grids:
         raise ValueError("config must define grids=TxS[,TxS...]")
 
@@ -355,7 +355,7 @@ def read_experiment_config(text: str) -> ExperimentSpec:
 
     return ExperimentSpec(
         truth=truth,
-        grids=tuple(grids),
+        grids=grids,
         noise=noise,
         methods=methods,
         replications=int(simple.get("reps", "1000")),

@@ -1,37 +1,23 @@
-"""Fit objectives (absolute, squared, smoothed-absolute) and the periodogram.
+"""Fit objectives (absolute, squared) on flat parameter vectors, and
+periodogram peak picking.
 
 The periodogram drives frequency initialization: its p sharpest sufficiently
-separated peaks on a refined lattice locate the component frequencies.
+separated peaks on a refined lattice locate the component frequencies.  The
+single-point periodogram and the objectives on ``ModelParams`` are reference
+code in :mod:`lad2d.theory`.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from .model import ModelParams, SignalField, model_grid_values
+from .model import SignalField, model_grid_values
 
 
 class PeakPickingError(RuntimeError):
     """Raised when the periodogram does not expose enough separated peaks."""
-
-
-def residual_field(params: ModelParams, data: SignalField) -> SignalField:
-    """Observed minus modeled values, position by position."""
-    model = model_grid_values(params.as_vector(), data.grid.t_values(), data.grid.s_values())
-    return SignalField(data.grid, data.values - model)
-
-
-def lad_objective(params: ModelParams, data: SignalField) -> float:
-    """Mean absolute residual over the grid."""
-    return lad_objective_vec(params.as_vector(), data)
-
-
-def lse_objective(params: ModelParams, data: SignalField) -> float:
-    """Mean squared residual over the grid."""
-    return lse_objective_vec(params.as_vector(), data)
 
 
 def lad_objective_vec(theta: np.ndarray, data: SignalField) -> float:
@@ -44,48 +30,6 @@ def lse_objective_vec(theta: np.ndarray, data: SignalField) -> float:
     """Least-squares objective on a flat parameter vector (optimizer hot path)."""
     r = data.values - model_grid_values(theta, data.grid.t_values(), data.grid.s_values())
     return float((r * r).mean())
-
-
-def smooth_abs(x, beta: float):
-    """Twice continuously differentiable surrogate for |x|.
-
-    Inside |x| <= 1/beta the absolute value is replaced by the cubic
-    -(beta^2/3)|x|^3 + beta x^2 + 1/(3 beta); outside it equals |x| exactly.
-    The surrogate is even, sits above |x|, and exceeds it by at most
-    1/(3 beta) (attained at 0).  Accepts scalars or arrays.
-    """
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    ax = np.abs(x)
-    inner = -(beta**2 / 3.0) * ax**3 + beta * ax**2 + 1.0 / (3.0 * beta)
-    # |x| is a true lower envelope of the cubic; enforce it against the last
-    # ulp of rounding near the join so the gap is never spuriously negative.
-    inner = np.maximum(inner, ax)
-    out = np.where(ax > 1.0 / beta, ax, inner)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def smoothed_lad_objective(params: ModelParams, data: SignalField, beta: float) -> float:
-    """Mean of the smoothed absolute value over the residuals."""
-    r = residual_field(params, data)
-    return float(np.mean(smooth_abs(r.values, beta)))
-
-
-def periodogram(data: SignalField, lam: float, mu: float) -> float:
-    """|sum_t sum_s y(t,s) exp(-i(lam t + mu s))|^2 / (T S) at one frequency pair.
-
-    Verification only: nothing in the package calls it.  The tests and the
-    acceptance suite use it as the reference for the lattice and for the
-    estimator's peak refinement.
-    """
-    for name, value in (("lam", lam), ("mu", mu)):
-        if not (0.0 <= value <= math.pi):
-            raise ValueError(f"{name}={value} outside [0, pi]")
-    t, s = data.grid.t_values(), data.grid.s_values()
-    z = np.exp(-1j * lam * t) @ data.values @ np.exp(-1j * mu * s)
-    return float(abs(z) ** 2 / data.grid.n)
 
 
 def periodogram_lattice(

@@ -14,7 +14,6 @@ import numpy as np
 from .estimator import EstimateReport, fit
 from .model import Grid, ModelParams, SignalField, synthesize_signal
 from .noise import NoiseSpec, noisy_observation
-from .optimizer import SimplexConfig
 
 
 class PgmFormatError(ValueError):
@@ -158,12 +157,11 @@ def texture_demo(
     noise: NoiseSpec,
     seed: int,
     method: str = "lad",
-    config: SimplexConfig | None = None,
 ) -> TextureDemoResult:
     """Generate noisy data, re-estimate the texture, and render all three images."""
     clean_field = synthesize_signal(truth, grid)
     noisy_field = noisy_observation(truth, grid, noise, seed)
-    report = fit(noisy_field, truth.p, method=method, config=config, noise_for_se=noise)
+    report = fit(noisy_field, truth.p, method=method, noise_for_se=noise)
     recovered_field = synthesize_signal(report.params_hat, grid)
     lo, hi = default_render_range(truth)
     return TextureDemoResult(

@@ -35,10 +35,10 @@ from lad2d import (
 )
 from lad2d.cli import main as cli_main
 from lad2d.estimator import aligned_vector, fit
-from lad2d.model import trig_sum_batch
 from lad2d.montecarlo import ExperimentSpec, run_experiment
 from lad2d.noise import noisy_observation, replication_seed
 from lad2d.texture import GrayImage
+from lad2d.theory import trig_sum_batch
 
 from conftest import random_field, random_model
 from test_model import lemma_limit

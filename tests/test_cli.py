@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lad2d import read_pgm, read_signal_text
+from lad2d import mean_absolute_pixel_error, read_pgm, read_signal_text
 from lad2d.cli import main
+from lad2d.model import Grid
+from lad2d.montecarlo import emit_table, read_experiment_config, run_experiment
 
 MODEL4 = ["--A1", "2.4", "--B1", "1.4", "--l1", "0.4", "--m1", "0.6"]
 
@@ -222,6 +225,16 @@ class TestTexture:
         invoke(runner, args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a_noisy.pgm").read_bytes() == (tmp_path / "b_noisy.pgm").read_bytes()
 
+    def test_prints_mae_of_recovered_against_clean(self, runner, tmp_path):
+        stem = str(tmp_path / "tex")
+        result = invoke(runner, ["texture", *MODEL4, "--T", "24", "--S", "24", "--noise", "slash",
+                                 "--seed", "9", "--method", "lse", "--out", stem])
+        last = result.output.splitlines()[-1]
+        assert last.startswith("recovered-vs-clean MAE: ") and last.endswith(" gray levels")
+        recovered = read_pgm(open(stem + "_recovered.pgm", "rb").read())
+        clean = read_pgm(open(stem + "_clean.pgm", "rb").read())
+        assert float(last.split()[2]) == mean_absolute_pixel_error(recovered, clean)
+
 
 MC_CONFIG = """
 truth.A1 = 2.4
@@ -275,6 +288,25 @@ class TestMc:
         assert {row["method"] for row in rows} == {"lad", "lse"}
         assert all(row["n_hard_failures"] == "0" for row in rows)
 
+    def test_reps_and_grids_override_the_config(self, runner, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(MC_CONFIG.format(reps=5))
+        out = tmp_path / "r"
+        invoke(runner, ["mc", "--config", str(config), "--out", str(out),
+                        "--reps", "2", "--grids", "16x16,20x20"])
+        spec = dataclasses.replace(read_experiment_config(config.read_text()), replications=2,
+                                   grids=(Grid(16, 16), Grid(20, 20)))
+        expected = emit_table(run_experiment(spec), "csv")
+        assert (out / "results.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("override", [["--reps", "0"], ["--grids", "0x5"]])
+    def test_bad_override_exits_2(self, runner, tmp_path, override):
+        config = tmp_path / "exp.cfg"
+        config.write_text(MC_CONFIG.format(reps=1))
+        result = runner.invoke(main, ["mc", "--config", str(config), "--out", str(tmp_path / "r"),
+                                      *override])
+        assert result.exit_code == 2
+
     def test_bad_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("grids=16x16\n")
@@ -320,6 +352,20 @@ class TestMetaReplay:
             args += ["--se-noise", options["se_noise"]]
         invoke(runner, args)
         assert open(stem + ".csv", "rb").read() == open(stem2 + ".csv", "rb").read()
+
+
+    def test_mc_replays_identically(self, runner, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(MC_CONFIG.format(reps=5))
+        invoke(runner, ["mc", "--config", str(config), "--out", str(tmp_path / "orig"),
+                        "--reps", "2", "--grids", "16x16,18x18"])
+        options = json.loads((tmp_path / "orig" / "results.meta").read_text())["options"]
+        replay_config = tmp_path / "replay.cfg"
+        replay_config.write_text(options["config"])
+        invoke(runner, ["mc", "--config", str(replay_config), "--out", str(tmp_path / "replay"),
+                        "--reps", str(options["reps"]), "--grids", options["grids"]])
+        for name in ("results.csv", "results.txt"):
+            assert (tmp_path / "orig" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes()
 
 
 class TestWriteErrors:

@@ -30,8 +30,9 @@ from lad2d.estimator import (
     report_to_text,
 )
 from lad2d.noise import density_at_zero, noisy_observation
-from lad2d.objective import lse_objective_vec, peak_candidates, periodogram
+from lad2d.objective import lse_objective_vec, peak_candidates
 from lad2d.optimizer import OptimResult, SimplexConfig, nelder_mead
+from lad2d.theory import periodogram
 
 from conftest import random_model
 

@@ -1,0 +1,59 @@
+"""Package layout: verification-only code stays out of the runtime modules."""
+
+import ast
+import importlib
+from pathlib import Path
+
+
+import lad2d
+
+PACKAGE_DIR = Path(lad2d.__file__).parent
+
+#: Every public name ``import lad2d`` offered before the reference code moved
+#: into ``lad2d.theory``; each must stay importable from the package.
+PUBLIC_NAMES = [
+    "AsymptoticVariances", "ComponentParams", "Contamination", "EstimateReport",
+    "ExperimentResult", "ExperimentSpec", "FitError", "GrayImage", "Grid", "ModelParams",
+    "NoiseSpec", "OptimResult", "PeakPickingError", "SignalField", "SimplexConfig",
+    "asymptotic_variances", "contaminate", "density_at_zero", "emit_table", "estimator",
+    "evaluate_model", "field_to_image", "fit", "information_matrix", "lad_objective",
+    "lse_objective", "match_components", "mean_absolute_pixel_error", "model", "montecarlo",
+    "nelder_mead", "noise", "noisy_observation", "objective", "optimizer", "parse_noise_spec",
+    "parse_table", "periodogram", "pick_peaks", "read_experiment_config", "read_pgm",
+    "read_signal_text", "residual_field", "run_experiment", "sample_noise", "smooth_abs",
+    "smoothed_lad_objective", "synthesize_signal", "texture", "texture_demo", "trig_sum",
+    "write_pgm", "write_signal_text",
+]
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Absolute names of the package modules a module's import statements reach."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "lad2d" if node.level else ""
+            parts = [p for p in (base, node.module or "") if p]
+            module = ".".join(parts)
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_no_runtime_module_imports_theory():
+    runtime = [p for p in PACKAGE_DIR.glob("*.py") if p.name not in ("__init__.py", "theory.py")]
+    assert len(runtime) >= 8
+    offenders = [p.name for p in runtime if "lad2d.theory" in _imported_modules(ast.parse(p.read_text()))]
+    assert offenders == []
+
+
+def test_scan_sees_every_import_form():
+    for line in ("from .theory import x", "from . import theory", "import lad2d.theory",
+                 "from lad2d.theory import y"):
+        assert "lad2d.theory" in _imported_modules(ast.parse(line))
+
+
+def test_public_names_still_importable():
+    package = importlib.import_module("lad2d")
+    assert [name for name in PUBLIC_NAMES if not hasattr(package, name)] == []

@@ -16,7 +16,8 @@ from lad2d import (
     trig_sum,
     write_signal_text,
 )
-from lad2d.model import model_grid_values, trig_sum_batch
+from lad2d.model import model_grid_values
+from lad2d.theory import trig_sum_batch
 
 from conftest import random_model
 
@@ -170,6 +171,11 @@ class TestVectorRoundTrip:
         strong = ComponentParams(3.0, 1.0, 1.0, 1.0)
         ordered = ModelParams((weak, strong)).canonically_ordered()
         assert ordered.components == (strong, weak)
+
+    def test_canonical_order_keeps_equal_energies_in_place(self):
+        comps = (ComponentParams(0.0, 1.0, 0.3, 0.3), ComponentParams(2.0, 0.0, 0.5, 0.5),
+                 ComponentParams(1.0, 0.0, 0.7, 0.7))
+        assert ModelParams(comps).canonical_order() == [1, 0, 2]
 
 
 class TestTrigSum:
