@@ -182,7 +182,7 @@ def _normal_equations(
     products = (pt[:, None, :, None] * ps[None, :, None, :]).reshape(16, p * p)
     gram = (_GRAM_WEIGHTS @ products).reshape(2, 2, p, p).transpose(0, 2, 1, 3)
     cross = np.diagonal((ct @ y @ cs.T).reshape(2, p, 2, p), axis1=1, axis2=3)  # [a, b, j]
-    return gram.reshape(2 * p, 2 * p), np.tensordot(_ANGLE_ADDITION, cross, 2).ravel()
+    return gram.reshape(2 * p, 2 * p), (_ANGLE_ADDITION.reshape(2, 4) @ cross.reshape(4, p)).ravel()
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -683,26 +683,24 @@ def report_to_csv(report: EstimateReport) -> str:
 
 
 def report_to_text(report: EstimateReport) -> str:
-    """Human-readable summary block."""
+    """Human-readable summary block; every number is the shortest repr of a
+    Python float, as in :func:`report_to_csv`."""
     order = report.params_hat.canonical_order()
     lines = [
         f"method: {report.method}",
         f"grid: {report.grid.T} x {report.grid.S}",
-        f"objective value: {report.objective_value!r}",
+        f"objective value: {float(report.objective_value)!r}",
         f"converged: {report.converged} (iterations: {report.iterations})",
     ]
     if report.g0_used is not None:
-        lines.append(f"noise density at zero used for SEs: {report.g0_used!r}")
+        lines.append(f"noise density at zero used for SEs: {float(report.g0_used)!r}")
     for out_k, k in enumerate(order, start=1):
         c = report.params_hat.components[k]
-        lines.append(
-            f"component {out_k}: A={c.A!r} B={c.B!r} lambda={c.lam!r} mu={c.mu!r}"
-        )
+        A, B, lam, mu = map(float, (c.A, c.B, c.lam, c.mu))
+        lines.append(f"component {out_k}: A={A!r} B={B!r} lambda={lam!r} mu={mu!r}")
         if report.std_errors is not None:
-            se = report.std_errors[4 * k : 4 * k + 4]
-            lines.append(
-                f"  std errors: A={se[0]!r} B={se[1]!r} lambda={se[2]!r} mu={se[3]!r}"
-            )
+            A, B, lam, mu = map(float, report.std_errors[4 * k : 4 * k + 4])
+            lines.append(f"  std errors: A={A!r} B={B!r} lambda={lam!r} mu={mu!r}")
     for note in report.diagnostics:
         lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ pointwise model and the trigonometric-sum lemmas live in :mod:`lad2d.theory`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,10 +123,19 @@ class Grid:
         return self.T * self.S
 
     def t_values(self) -> np.ndarray:
-        return np.arange(1, self.T + 1, dtype=float)
+        """Row positions 1..T (a shared read-only array)."""
+        return _positions(self.T)
 
     def s_values(self) -> np.ndarray:
-        return np.arange(1, self.S + 1, dtype=float)
+        """Column positions 1..S (a shared read-only array)."""
+        return _positions(self.S)
+
+
+@functools.lru_cache(maxsize=64)
+def _positions(count: int) -> np.ndarray:
+    values = np.arange(1, count + 1, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -167,11 +177,13 @@ def model_grid_values(theta: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.nda
                                              B cos mu s - A sin mu s] (2p x S),
 
     so the trig cost is O(p(T+S)) and the grid is written once, by one matrix
-    product.  Components are first sorted by (mu, lam, B, A), so the result is
-    bit-identical under any permutation of them.
+    product.  Several components are first sorted by (mu, lam, B, A), so the
+    result is bit-identical under any permutation of them.
     """
-    comps = np.reshape(theta, (-1, 4))
-    A, B, lam, mu = comps[np.lexsort(comps.T)].T[:, :, None]  # lexsort: last key first
+    comps = np.asarray(theta).reshape(-1, 4)
+    if len(comps) > 1:
+        comps = comps[np.lexsort(comps.T)]  # lexsort: last key first
+    A, B, lam, mu = comps.T[:, :, None]
     lt, ms = lam * t, mu * s
     cs, ss = np.cos(ms), np.sin(ms)
     left = np.concatenate([np.cos(lt), np.sin(lt)])

@@ -279,9 +279,23 @@ _OPTIMIZER_KEYS = {
 
 
 def parse_grids(text: str) -> tuple[Grid, ...]:
-    """Parse a comma list of grid sizes, e.g. ``25x25,50x50``; blank entries are skipped."""
-    sizes = (token.strip().partition("x") for token in text.split(",") if token.strip())
-    return tuple(Grid(int(T), int(S)) for T, _, S in sizes)
+    """Parse a comma list of grid sizes, e.g. ``25x25,50x50``; blank entries are skipped.
+
+    An entry that is not two integers joined by ``x`` raises ``ValueError``
+    naming the entry.
+    """
+    grids = []
+    for token in text.split(","):
+        entry = token.strip()
+        if not entry:
+            continue
+        T, _, S = entry.partition("x")
+        try:
+            size = int(T), int(S)
+        except ValueError:
+            raise ValueError(f"grid entry {entry!r} is not of the form TxS, e.g. 25x25") from None
+        grids.append(Grid(*size))
+    return tuple(grids)
 
 
 def read_experiment_config(text: str) -> ExperimentSpec:

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lad2d import mean_absolute_pixel_error, read_pgm, read_signal_text
+from lad2d import fit, mean_absolute_pixel_error, parse_noise_spec, read_pgm, read_signal_text
 from lad2d.cli import main
 from lad2d.model import Grid
 from lad2d.montecarlo import emit_table, read_experiment_config, run_experiment
@@ -133,6 +134,26 @@ class TestEstimate:
         report = self._read_report(stem)
         assert float(report["se_A1"]) > 0
         assert float(report["se_lambda1"]) < float(report["se_A1"])
+
+    def test_printed_values_are_plain_floats_of_the_fit(self, runner, tmp_path):
+        sig = self._simulated(runner, tmp_path, noise="gaussian:sigma=0.1", seed=1, T=25)
+        stem = str(tmp_path / "fit_text")
+        result = invoke(runner, ["estimate", "--in", str(sig), "--se-noise", "gaussian:sigma=0.1",
+                                 "--out", stem])
+        assert result.exit_code == 0
+        assert "np.float64" not in result.output
+        assert (tmp_path / "fit_text.txt").read_text() == result.output
+        report = fit(read_signal_text(sig.read_text()), 1,
+                     noise_for_se=parse_noise_spec("gaussian:sigma=0.1"))
+        fitted = [report.objective_value, report.g0_used]
+        for c, se in zip(report.params_hat.canonically_ordered().components,
+                         report.std_errors.reshape(-1, 4)[report.params_hat.canonical_order()]):
+            fitted += [c.A, c.B, c.lam, c.mu, *se]
+        printed = [float(token.split("=")[-1]) for line in result.output.splitlines()
+                   for token in line.split(": ")[-1].split()
+                   if line.split(": ")[0] in ("objective value", "noise density at zero used for SEs")
+                   or "=" in token]
+        assert printed == fitted
 
     def test_explicit_init_flags(self, runner, tmp_path):
         sig = self._simulated(runner, tmp_path)
@@ -306,6 +327,19 @@ class TestMc:
         result = runner.invoke(main, ["mc", "--config", str(config), "--out", str(tmp_path / "r"),
                                       *override])
         assert result.exit_code == 2
+
+    def test_malformed_grids_name_the_entry(self, runner, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(MC_CONFIG.format(reps=1))
+        result = runner.invoke(main, ["mc", "--config", str(config), "--out", str(tmp_path / "r"),
+                                      "--grids", "16x16,25"])
+        assert result.exit_code == 2
+        assert "'25' is not of the form TxS" in result.output
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(re.sub(r"(?m)^grids.*$", "grids = 25", MC_CONFIG.format(reps=1)))
+        result = runner.invoke(main, ["mc", "--config", str(bad), "--out", str(tmp_path / "r2")])
+        assert result.exit_code == 2
+        assert "'25' is not of the form TxS" in result.output
 
     def test_bad_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "exp.cfg"

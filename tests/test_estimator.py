@@ -547,6 +547,28 @@ class TestSeparableLeastSquares:
         assert value == pytest.approx(lse_objective_vec(vec, data), rel=1e-15)
 
 
+class TestNormalEquationsIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        T=st.integers(2, 50),
+        S=st.integers(2, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_right_hand_side_matches_tensordot_form(self, p, T, S, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(T, S))
+        t, s = np.arange(1.0, T + 1), np.arange(1.0, S + 1)
+        lams, mus = rng.uniform(0.0, np.pi, p), rng.uniform(0.0, np.pi, p)
+        _, rhs = estimator._normal_equations(y, t, s, lams, mus)
+        ang_t, ang_s = np.multiply.outer(lams, t), np.multiply.outer(mus, s)
+        ct = np.concatenate([np.cos(ang_t), np.sin(ang_t)])
+        cs = np.concatenate([np.cos(ang_s), np.sin(ang_s)])
+        cross = np.diagonal((ct @ y @ cs.T).reshape(2, p, 2, p), axis1=1, axis2=3)
+        expected = np.tensordot(estimator._ANGLE_ADDITION, cross, 2).ravel()
+        assert rhs.tobytes() == expected.tobytes()
+
+
 class TestProfiledLse:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_joint_fit_on_one_component(self, one_component_truth, seed):

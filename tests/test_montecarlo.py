@@ -319,3 +319,16 @@ class TestConfig:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             read_experiment_config(text)
+
+    @pytest.mark.parametrize("entry", ["25", "25x", "x25", "25x25x3", "ax5"])
+    def test_malformed_grid_entry_is_named(self, entry):
+        message = rf"grid entry '{entry}' is not of the form TxS"
+        with pytest.raises(ValueError, match=message):
+            mc.parse_grids(f"16x16, {entry}")
+        with pytest.raises(ValueError, match=message):
+            read_experiment_config(
+                f"truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids = {entry}\n"
+            )
+
+    def test_grid_list_parses(self):
+        assert mc.parse_grids(" 25x25, ,7x9 ") == (Grid(25, 25), Grid(7, 9))

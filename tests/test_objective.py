@@ -22,7 +22,13 @@ from lad2d import (
     smoothed_lad_objective,
     synthesize_signal,
 )
-from lad2d.objective import _local_maxima, peak_candidates, periodogram_lattice
+from lad2d.objective import (
+    _local_maxima,
+    lad_objective_vec,
+    lse_objective_vec,
+    peak_candidates,
+    periodogram_lattice,
+)
 
 from conftest import random_field, random_model
 
@@ -119,6 +125,44 @@ class TestObjectives:
             shuffled = ModelParams(tuple(params.components[i] for i in perm))
             assert lad_objective(shuffled, data) == lad_objective(params, data)
             assert lse_objective(shuffled, data) == lse_objective(params, data)
+
+
+def lexsorted_surface(theta: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rank-2p surface with the components always sorted by ``lexsort``,
+    as every p was before the one-component case skipped the sort."""
+    comps = np.reshape(theta, (-1, 4))
+    A, B, lam, mu = comps[np.lexsort(comps.T)].T[:, :, None]
+    lt, ms = lam * t, mu * s
+    cs, ss = np.cos(ms), np.sin(ms)
+    left = np.concatenate([np.cos(lt), np.sin(lt)])
+    right = np.concatenate([A * cs + B * ss, B * cs - A * ss])
+    return left.T @ right
+
+
+class TestVectorObjectivesInPlace:
+    """The in-place objectives give the very bits of ``mean`` over a fresh
+    residual on the sorted surface."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        T=st.integers(2, 40),
+        S=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_bit_identical_to_mean_of_fresh_residual(self, p, T, S, seed, scale):
+        rng = np.random.default_rng(seed)
+        theta = np.column_stack([
+            rng.normal(scale=scale, size=(p, 2)), rng.uniform(0.0, np.pi, size=(p, 2))
+        ]).ravel()
+        data = SignalField(Grid(T, S), rng.normal(scale=scale, size=(T, S)))
+        surface = lexsorted_surface(theta, data.grid.t_values(), data.grid.s_values())
+        r = data.values - surface
+        permuted = theta.reshape(p, 4)[rng.permutation(p)].ravel()
+        for vec in (theta, permuted):
+            assert lad_objective_vec(vec, data) == float(np.abs(data.values - surface).mean())
+            assert lse_objective_vec(vec, data) == float((r * r).mean())
 
 
 class TestSmoothAbs:
