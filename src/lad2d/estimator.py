@@ -29,7 +29,7 @@ from .objective import (
     lse_objective_vec,
     peak_candidates,
 )
-from .optimizer import OptimResult, SimplexConfig, nelder_mead
+from .optimizer import OptimResult, SimplexConfig, adaptive_coefficients, nelder_mead
 
 METHODS = ("lad", "lse")
 
@@ -407,6 +407,8 @@ def initial_guess(
     strong ones; the estimate itself still comes from the joint minimization.
     Start amplitudes are clipped to ``amplitude_bound``.
     """
+    if not (amplitude_bound > 0):
+        raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
     clipped = _robustly_preprocessed(data)
     t, s = data.grid.t_values(), data.grid.s_values()
     freqs: list[tuple[float, float]] = []
@@ -432,11 +434,58 @@ def initial_guess(
     return ModelParams.from_vector(_pack(coef, freqs), amplitude_bound)
 
 
-def default_fit_config(p: int, grid: Grid) -> SimplexConfig:
-    """Steps sized to the problem: 0.1 on amplitudes, half a lattice cell on
-    frequencies (the frequency objective has an O(1/T) wide basin)."""
+def default_fit_config(p: int, grid: Grid, method: str = "lad") -> SimplexConfig:
+    """The simplex ``fit`` runs when the caller gives no ``config``.
+
+    Steps are sized to the problem: 0.1 on amplitudes, half a lattice cell on
+    frequencies (the frequency objective has an O(1/T) wide basin).  LAD
+    searches all n = 4p parameters with Gao and Han's dimension-adaptive
+    coefficients (``adaptive_coefficients(4p)``) and no restart.  LSE
+    searches the 2p frequencies with the textbook coefficients (1, 2, 1/2,
+    1/2) and one restart: there the adaptive ones, with or without the
+    restart, ended above it in 11 of 12 seeds at p=2 50x50 t1 (by at most
+    9e-13 relative).
+
+    The LAD simplex from ``initial_guess`` on the fields of the test
+    ``TestAdaptiveSimplexQuality``, seeds 0-11 per shape.  Evaluations
+    are the median [min, max]; the gap is the median relative distance
+    above a reference minimum, reached by twelve restarts of the adaptive
+    and then of the textbook simplex from the better end of the two marked
+    runs (*).  Adaptive coefficients (expansion, contraction, shrink) are
+    (1.5, 0.625, 0.75) at n = 4, (1.25, 0.6875, 0.875) at n = 8 and
+    (1.167, 0.708, 0.917) at n = 12.
+
+    ===================  ==  ============  ========  ===================  =======
+    shape                n   coefficients  restarts  evaluations          gap
+    ===================  ==  ============  ========  ===================  =======
+    p=1 25x25 gaussian   4   adaptive      0 (*)     524 [441, 789]       7.6e-10
+    sigma=0.1                adaptive      1         930 [831, 1169]      1.4e-11
+                             textbook      0         460 [338, 753]       6.0e-08
+                             textbook      1 (*)     766 [641, 1078]      4.5e-09
+    p=2 50x50 t1         8   adaptive      0 (*)     2038 [1406, 3107]    6.8e-09
+                             adaptive      1         3498 [2512, 4548]    3.1e-10
+                             textbook      0         1587 [1124, 1990]    3.3e-07
+                             textbook      1 (*)     2653 [2009, 3150]    9.3e-08
+    p=3 40x40 t1         12  adaptive      0 (*)     5132 [3789, 8631]    1.6e-07
+                             adaptive      1         8832 [6540, 11869]   3.3e-08
+                             textbook      0         3686 [2476, 4334]    2.4e-05
+                             textbook      1 (*)     5748 [4578, 7191]    8.4e-07
+    ===================  ==  ============  ========  ===================  =======
+
+    The default (adaptive, no restart) costs 11-32% fewer evaluations than
+    the textbook simplex with its restart and ends 5-14 times closer to the
+    reference.  A restart would close the gap further at 72-77% more cost.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     freq_step = 0.5 / min(grid.T, grid.S)
-    return SimplexConfig(initial_step=[0.1, 0.1, freq_step, freq_step] * p)
+    if method == "lse":
+        return SimplexConfig(initial_step=[freq_step, freq_step] * p)
+    return SimplexConfig(
+        initial_step=[0.1, 0.1, freq_step, freq_step] * p,
+        restarts=0,
+        **adaptive_coefficients(4 * p),
+    )
 
 
 def _frequency_config(cfg: SimplexConfig, p: int) -> SimplexConfig:
@@ -523,14 +572,19 @@ def fit(
 ) -> EstimateReport:
     """Fit p components to the observed field by the chosen objective.
 
-    LAD runs Nelder-Mead over all 4p parameters.  LSE profiles the
+    LAD runs Nelder-Mead over all 4p parameters, by default with
+    dimension-adaptive coefficients and no restart.  LSE profiles the
     amplitudes out: at fixed frequencies they solve a 2p x 2p linear system,
-    so its simplex runs over the 2p frequencies alone, its iteration count
-    counts that simplex, and its amplitudes come from the solve, clipped to
-    ``amplitude_bound``.  Of a ``config`` whose ``initial_step`` has one
-    entry per parameter (4p), the LSE simplex uses the frequency entries; a
-    scalar step applies to it as given.  That simplex sees the objective in
-    units of the data's mean square, so its ``f_tolerance`` is relative.
+    so its simplex runs over the 2p frequencies alone, by default with the
+    textbook coefficients and one restart; its iteration count counts that
+    simplex, and its amplitudes come from the solve, clipped to
+    ``amplitude_bound``.  The defaults are ``default_fit_config(p, grid,
+    method)``.  A caller's ``config`` is used as given, except that of an
+    ``initial_step`` with one entry per parameter (4p) the LSE simplex uses
+    the frequency entries; a scalar step applies to it as given.  That
+    simplex sees the objective in units of the data's mean square, so its
+    ``f_tolerance`` is relative.  ``amplitude_bound`` must be positive
+    (``math.inf`` lifts the box).
 
     ``noise_for_se`` attaches asymptotic standard errors (robust objective
     only); it supplies the noise density at zero analytically.
@@ -545,10 +599,12 @@ def fit(
         )
     if init is not None and init.p != p:
         raise ValueError(f"init has {init.p} components, expected {p}")
+    if not (amplitude_bound > 0):
+        raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
 
     start = init if init is not None else initial_guess(data, p, grid_refinement, amplitude_bound)
     x0 = start.as_vector()
-    cfg = config or default_fit_config(p, data.grid)
+    cfg = config or default_fit_config(p, data.grid, method)
     profile, shift = None, 0
     if method == "lad":
         # The simplex's steps and tolerances are absolute, sized for

@@ -3,7 +3,10 @@
 Written for nonsmooth objectives (mean absolute residual): trial points are
 clamped to the box rather than penalized, and an optional restart rebuilds the
 simplex at the incumbent to shake off the stagnation Nelder-Mead is prone to
-on kinked surfaces.
+on kinked surfaces.  ``SimplexConfig`` defaults to the textbook coefficients
+(1, 2, 1/2, 1/2) with one restart; ``adaptive_coefficients`` gives Gao and
+Han's dimension-scaled ones, which the 4p-dimensional LAD fit uses with no
+restart (see ``estimator.default_fit_config``).
 
 The vertices are kept best first, as lists of Python floats.  Ties are broken
 stably (Lagarias et al. 1998): a vertex that replaces the worst one is
@@ -32,7 +35,10 @@ Bounds = Sequence[tuple[float, float]] | None
 
 @dataclass
 class SimplexConfig:
-    """Tuning knobs; the defaults suit the 4p-dimensional fitting problems here.
+    """Tuning knobs.  The defaults are the textbook coefficients with one
+    restart, which the 2p-dimensional LSE frequency search uses; the LAD fit
+    replaces the coefficients with ``adaptive_coefficients(4p)`` and the
+    restart count with 0.
 
     ``max_iterations`` of None resolves to 2000 x dimension at run time.
     ``initial_step`` may be a scalar or one step per coordinate.
@@ -59,6 +65,25 @@ class SimplexConfig:
             raise ValueError("tolerances must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
+
+
+def adaptive_coefficients(n: int) -> dict[str, float]:
+    """Gao and Han's (2012) coefficients for an n-dimensional simplex, n >= 2:
+    reflection 1, expansion 1 + 2/n, contraction 3/4 - 1/(2n), shrink 1 - 1/n.
+
+    At n = 2 they are the textbook (1, 2, 1/2, 1/2).  As n grows, expansion
+    and contraction move toward 1 and 3/4 and the shrink toward 1, so the
+    simplex keeps its shape instead of collapsing onto a subspace.  The dict
+    keys are ``SimplexConfig`` field names.
+    """
+    if n < 2:
+        raise ValueError(f"adaptive coefficients need dimension n >= 2, got {n}")
+    return {
+        "reflection": 1.0,
+        "expansion": 1.0 + 2.0 / n,
+        "contraction": 0.75 - 0.5 / n,
+        "shrink": 1.0 - 1.0 / n,
+    }
 
 
 @dataclass

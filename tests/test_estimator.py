@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -29,8 +30,8 @@ from lad2d.estimator import (
     report_to_csv,
     report_to_text,
 )
-from lad2d.noise import density_at_zero, noisy_observation
-from lad2d.objective import lse_objective_vec, peak_candidates
+from lad2d.noise import density_at_zero, noisy_observation, parse_noise_spec
+from lad2d.objective import lad_objective_vec, lse_objective_vec, peak_candidates
 from lad2d.optimizer import OptimResult, SimplexConfig, nelder_mead
 from lad2d.theory import periodogram
 
@@ -258,6 +259,21 @@ class TestFit:
             report.params_hat.as_vector()[2:], unit.params_hat.as_vector()[2:], atol=1e-3
         )
 
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, math.nan])
+    def test_amplitude_bound_must_be_positive(self, one_component_truth, method, bound):
+        data = noisy_observation(one_component_truth, Grid(16, 16), NoiseSpec("gaussian", 0.1), 1)
+        with pytest.raises(ValueError, match="amplitude_bound must be positive"):
+            fit(data, 1, method=method, amplitude_bound=bound)
+        with pytest.raises(ValueError, match="amplitude_bound must be positive"):
+            fit(data, 1, method=method, init=one_component_truth, amplitude_bound=bound)
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    def test_infinite_amplitude_bound_lifts_the_box(self, one_component_truth, method):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
+        report = fit(data, 1, method=method, amplitude_bound=math.inf)
+        assert report.objective_value == fit(data, 1, method=method).objective_value
+
     def test_profiled_lse_is_scale_equivariant(self, one_component_truth):
         data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
         unit = fit(data, 1, method="lse").params_hat.as_vector()
@@ -315,6 +331,12 @@ class TestInitialGuess:
         assert abs(guess.components[0].lam - 0.4) <= np.pi / 80
         assert abs(guess.components[0].mu - 0.6) <= np.pi / 80
 
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, math.nan])
+    def test_amplitude_bound_must_be_positive(self, one_component_truth, bound):
+        data = synthesize_signal(one_component_truth, Grid(16, 16))
+        with pytest.raises(ValueError, match="amplitude_bound must be positive"):
+            initial_guess(data, 1, amplitude_bound=bound)
+
 
 def nelder_mead_refinement(field, lam, mu, grid_refinement):
     """The former peak refinement: a 2-D Nelder-Mead on the periodogram."""
@@ -347,6 +369,7 @@ def refinement_fields(draw):
         lam, mu = draw(st.sampled_from([(edge, mu), (lam, edge)]))
     truth = ModelParams((ComponentParams(*rng.uniform(0.5, 3.0, size=2), lam, mu),))
     return SignalField(Grid(T, S), synthesize_signal(truth, Grid(T, S)).values + values), True
+
 
 
 class TestRefinePeakFrequency:
@@ -441,11 +464,18 @@ def dense_amplitudes(data, freqs):
     return coef
 
 
+def textbook_fit_config(p, grid):
+    """The 4p simplex every fit ran before LAD moved to adaptive
+    coefficients: textbook (1, 2, 1/2, 1/2), one restart, the same steps."""
+    freq_step = 0.5 / min(grid.T, grid.S)
+    return SimplexConfig(initial_step=[0.1, 0.1, freq_step, freq_step] * p, restarts=1)
+
+
 def joint_lse_fit(data, p):
     """The former LSE fit: Nelder-Mead over all 4p parameters from the
     initial guess, then the rescue pass on the same 4p objective."""
     bounds = [(-1e6, 1e6), (-1e6, 1e6), (0.0, np.pi), (0.0, np.pi)] * p
-    cfg = estimator.default_fit_config(p, data.grid)
+    cfg = textbook_fit_config(p, data.grid)
     objective = lambda th: lse_objective_vec(th, data)
     result = nelder_mead(objective, initial_guess(data, p).as_vector(), bounds, cfg)
     return estimator._rescue_missed_components(
@@ -617,6 +647,129 @@ class TestProfiledLse:
         frequencies_only = fit(data, 1, method="lse", config=SimplexConfig(initial_step=[0.02, 0.03]))
         assert per_parameter.objective_value == frequencies_only.objective_value
         assert per_parameter.iterations == frequencies_only.iterations
+
+
+def fit_record(report):
+    """Every field of a fit report, as bytes where it is numeric."""
+    return (
+        report.params_hat.as_vector().tobytes(),
+        np.float64(report.objective_value).tobytes(),
+        report.iterations,
+        report.converged,
+        report.diagnostics,
+    )
+
+
+class TestDefaultFitConfig:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_lad_uses_adaptive_coefficients_without_restart(self, p):
+        grid = Grid(25, 40)
+        cfg = estimator.default_fit_config(p, grid)
+        n = 4 * p
+        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (
+            1.0, 1.0 + 2.0 / n, 0.75 - 1.0 / (2 * n), 1.0 - 1.0 / n
+        )
+        assert cfg.restarts == 0
+        assert cfg.initial_step == [0.1, 0.1, 0.5 / 25, 0.5 / 25] * p
+        assert estimator.default_fit_config(p, grid, "lad") == cfg
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_lse_keeps_textbook_coefficients_and_one_restart(self, p):
+        cfg = estimator.default_fit_config(p, Grid(25, 40), "lse")
+        assert cfg == SimplexConfig(initial_step=[0.5 / 25, 0.5 / 25] * p)
+        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (1.0, 2.0, 0.5, 0.5)
+        assert cfg.restarts == 1
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            estimator.default_fit_config(1, Grid(16, 16), "l1")
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    def test_fit_runs_the_default_for_its_method(self, two_component_truth, method, monkeypatch):
+        configs = []
+
+        def recording(objective, initial, bounds, config):
+            configs.append(config)
+            return nelder_mead(objective, initial, bounds, config)
+
+        monkeypatch.setattr(estimator, "nelder_mead", recording)
+        data = noisy_observation(two_component_truth, Grid(20, 20), NoiseSpec("t1"), 3)
+        fit(data, 2, method=method)
+        assert configs and all(
+            c == estimator.default_fit_config(2, data.grid, method) for c in configs
+        )
+
+    @pytest.mark.parametrize(
+        "p,n,noise,seed",
+        [
+            (1, 25, "gaussian:sigma=0.1", 0),
+            (1, 25, "gaussian:sigma=0.1", 1),
+            (1, 40, "slash", 2),
+            (2, 50, "t1", 0),
+            (2, 20, "gaussian:sigma=0.5+outliers:frac=0.1,offset=auto", 4),
+        ],
+    )
+    def test_lse_fit_equals_the_textbook_4p_config_fit(
+        self, one_component_truth, two_component_truth, p, n, noise, seed
+    ):
+        # The textbook 4p config was every fit's default before LAD moved to
+        # adaptive coefficients; LSE uses its frequency steps as given.
+        truth = one_component_truth if p == 1 else two_component_truth
+        data = noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
+        default = fit(data, p, method="lse")
+        textbook = fit(data, p, method="lse", config=textbook_fit_config(p, data.grid))
+        assert fit_record(default) == fit_record(textbook)
+
+
+ONE_COMPONENT = ModelParams((ComponentParams(2.4, 1.4, 0.4, 0.6),))
+TWO_COMPONENTS = ModelParams(
+    (ComponentParams(4.2, 3.6, 1.1, 1.9), ComponentParams(3.3, 2.7, 0.24, 0.36))
+)
+THREE_COMPONENTS = ModelParams(
+    TWO_COMPONENTS.components + (ComponentParams(2.5, -1.8, 2.3, 0.8),)
+)
+
+
+class TestAdaptiveSimplexQuality:
+    """The adaptive LAD simplex ends no further above a reference minimum, in
+    the median over a committed seed set, than the textbook one with a
+    restart.  The table in ``default_fit_config``'s docstring comes from the
+    same runs."""
+
+    SEEDS = range(12)
+
+    @pytest.mark.parametrize(
+        "truth,n,noise",
+        [
+            (ONE_COMPONENT, 25, "gaussian:sigma=0.1"),
+            (TWO_COMPONENTS, 50, "t1"),
+            (THREE_COMPONENTS, 40, "t1"),
+        ],
+        ids=["p1-25-gaussian", "p2-50-t1", "p3-40-t1"],
+    )
+    def test_median_gap_no_larger_than_textbook_with_restart(self, truth, n, noise):
+        p = truth.p
+        adaptive_gaps, textbook_gaps = [], []
+        for seed in self.SEEDS:
+            data = noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
+            objective = lambda th: lad_objective_vec(th, data)
+            bounds = [(-1e6, 1e6), (-1e6, 1e6), (0.0, np.pi), (0.0, np.pi)] * p
+            start = initial_guess(data, p).as_vector()
+            adaptive_cfg = estimator.default_fit_config(p, data.grid)
+            textbook_cfg = textbook_fit_config(p, data.grid)
+            adaptive = nelder_mead(objective, start, bounds, adaptive_cfg)
+            textbook = nelder_mead(objective, start, bounds, textbook_cfg)
+            # Reference: twelve restarts of each simplex from the better end.
+            best = min(adaptive, textbook, key=lambda r: r.best_value)
+            ref = nelder_mead(
+                objective, best.best_point, bounds, dataclasses.replace(adaptive_cfg, restarts=12)
+            )
+            ref = nelder_mead(
+                objective, ref.best_point, bounds, dataclasses.replace(textbook_cfg, restarts=12)
+            )
+            adaptive_gaps.append(adaptive.best_value / ref.best_value - 1.0)
+            textbook_gaps.append(textbook.best_value / ref.best_value - 1.0)
+        assert np.median(adaptive_gaps) <= np.median(textbook_gaps)
 
 
 class TestMatching:

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import lad2d
 from lad2d import Grid, SimplexConfig, nelder_mead, synthesize_signal
 from lad2d.objective import lad_objective_vec
-from lad2d.optimizer import OptimResult, _centroid, _clamped, _diameter_below
+from lad2d.optimizer import (
+    OptimResult,
+    _centroid,
+    _clamped,
+    _diameter_below,
+    adaptive_coefficients,
+)
 
 
 def quadratic(x):
@@ -124,6 +130,24 @@ class TestConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SimplexConfig(**kwargs)
+
+    def test_adaptive_coefficients_are_textbook_at_dimension_two(self):
+        assert adaptive_coefficients(2) == dict(
+            reflection=1.0, expansion=2.0, contraction=0.5, shrink=0.5
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 12, 100])
+    def test_adaptive_coefficients_follow_gao_han(self, n):
+        coefficients = adaptive_coefficients(n)
+        assert coefficients == dict(
+            reflection=1.0, expansion=1.0 + 2.0 / n, contraction=0.75 - 1.0 / (2 * n),
+            shrink=1.0 - 1.0 / n,
+        )
+        SimplexConfig(**coefficients)  # valid
+
+    def test_adaptive_coefficients_need_two_dimensions(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            adaptive_coefficients(1)
 
 
 class TestOnFittingObjective:
@@ -369,7 +393,13 @@ def simplex_problems(draw):
         )
     )
     coefficients = draw(
-        st.sampled_from([{}, dict(reflection=1.0, expansion=3.0, contraction=0.25, shrink=0.75)])
+        st.sampled_from(
+            [
+                {},
+                dict(reflection=1.0, expansion=3.0, contraction=0.25, shrink=0.75),
+                adaptive_coefficients(max(n, 2)),
+            ]
+        )
     )
     config = SimplexConfig(
         max_iterations=draw(st.integers(0, 250)),
