@@ -190,7 +190,8 @@ def estimate(in_path, p, method, se_noise_text, refinement, out_stem, component_
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes; results are identical for any value.")
+              help="Worker processes; results are identical for any value. Above 1, "
+                   "set OPENBLAS_NUM_THREADS=1 so the workers do not oversubscribe the cores.")
 @click.option("--reps", type=int, default=None, help="Replications per grid; overrides the config's reps.")
 @click.option("--grids", "grids_text", default=None,
               help="Grid list TxS[,TxS...]; overrides the config's grids.")

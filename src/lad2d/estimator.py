@@ -317,6 +317,11 @@ def _periodogram_derivatives(
     return z.real**2 + z.imag**2, 2.0 * grad, 2.0 * hess
 
 
+def _into_box(v: float) -> float:
+    """``np.clip(v, 0, pi)`` on one float; as there, -0.0 and NaN come back unchanged."""
+    return 0.0 if v < 0.0 else (np.pi if v > np.pi else v)
+
+
 def _refine_peak_frequency(
     field: SignalField, lam: float, mu: float, grid_refinement: int
 ) -> tuple[float, float]:
@@ -333,61 +338,72 @@ def _refine_peak_frequency(
     box and halved until the periodogram does not decrease, and the ascent
     stops when a step moves no coordinate by more than ``REFINE_X_TOLERANCE``.
     A zero field or a non-finite value at the start returns the lattice
-    point; the refinement never raises.
+    point; the refinement never raises.  The 2x2 bookkeeping runs on Python
+    floats in the same operation order as the numpy form, so the result is
+    bit for bit that form's.
     """
-    start = np.clip(np.array([lam, mu], dtype=float), 0.0, np.pi)
+    x0, x1 = _into_box(float(lam)), _into_box(float(mu))
     scale = float(np.max(np.abs(field.values)))
     if not scale > 0.0:
-        return float(start[0]), float(start[1])
+        return x0, x1
     y = field.values / scale
     t, s = field.grid.t_values(), field.grid.s_values()
     tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
     half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
+    near_pi = np.pi - REFINE_X_TOLERANCE
 
-    x = start
-    value, grad, hess = _periodogram_derivatives(y, tp, sp, x)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        return float(start[0]), float(start[1])
+    value, grad, hess = _periodogram_derivatives(y, tp, sp, (x0, x1))
+    # The Hessian is symmetric, so its off-diagonal entry is read once.
+    (g0, g1), ((h00, h01), (_, h11)) = grad.tolist(), hess.tolist()
+    if not all(map(math.isfinite, (value, g0, g1, h00, h01, h11))):
+        return x0, x1
     for _ in range(REFINE_MAX_STEPS):
         # The top lattice frequency can sit an ulp below pi: count it as on.
-        low, high = x <= REFINE_X_TOLERANCE, x >= np.pi - REFINE_X_TOLERANCE
-        if np.all(low | high):
+        low0, high0 = x0 <= REFINE_X_TOLERANCE, x0 >= near_pi
+        low1, high1 = x1 <= REFINE_X_TOLERANCE, x1 >= near_pi
+        if (low0 or high0) and (low1 or high1):
             # I(lam, mu) = I(-lam, -mu) with period 2 pi, so every corner of
             # the box is stationary and the computed gradient is rounding noise.
-            grad = np.zeros(2)
-        free = ~((low & (grad < 0.0)) | (high & (grad > 0.0)))
-        # A fixed coordinate gets zero gradient and a -1 Hessian row, so the
-        # 2x2 Newton solve leaves it in place.
-        g = np.where(free, grad, 0.0)
-        h = np.where(np.outer(free, free), hess, -np.eye(2))
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if h[0, 0] < 0.0 and det > 0.0:  # negative definite
-            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0], h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
-        elif np.any(g != 0.0):
-            step = g * (half_cell / np.max(np.abs(g)))
+            g0 = g1 = 0.0
+        free0 = not ((low0 and g0 < 0.0) or (high0 and g0 > 0.0))
+        free1 = not ((low1 and g1 < 0.0) or (high1 and g1 > 0.0))
+        # A fixed coordinate gets zero gradient and a -1 Hessian row (the
+        # -0.0 off the diagonal is what -np.eye(2) holds), so the 2x2 Newton
+        # solve leaves it in place.
+        f0, f1 = (g0 if free0 else 0.0), (g1 if free1 else 0.0)
+        a, d = (h00 if free0 else -1.0), (h11 if free1 else -1.0)
+        c = h01 if free0 and free1 else -0.0
+        det = a * d - c * c
+        if a < 0.0 and det > 0.0:  # negative definite
+            s0, s1 = (c * f1 - d * f0) / det, (c * f0 - a * f1) / det
+        elif f0 != 0.0 or f1 != 0.0:
+            q = half_cell / max(abs(f0), abs(f1))
+            s0, s1 = f0 * q, f1 * q
         else:
             # A stationary point that is no maximum: leave it along the
             # direction of largest curvature, whichever way enters the box.
-            curvature, vectors = np.linalg.eigh(h)
+            curvature, vectors = np.linalg.eigh(np.array([[a, c], [c, d]]))
             if curvature[-1] <= 0.0:
                 break
-            step = vectors[:, -1] * half_cell
-            ahead, back = (np.abs(np.clip(x + d, 0.0, np.pi) - x).max() for d in (step, -step))
+            s0, s1 = (vectors[:, -1] * half_cell).tolist()
+            ahead = max(abs(_into_box(x0 + s0) - x0), abs(_into_box(x1 + s1) - x1))
+            back = max(abs(_into_box(x0 - s0) - x0), abs(_into_box(x1 - s1) - x1))
             if back > ahead:
-                step = -step
+                s0, s1 = -s0, -s1
         while True:
-            trial = np.clip(x + step, 0.0, np.pi)
-            moved = float(np.max(np.abs(trial - x)))
+            t0, t1 = _into_box(x0 + s0), _into_box(x1 + s1)
+            moved = max(abs(t0 - x0), abs(t1 - x1))
             if moved <= REFINE_X_TOLERANCE:
                 break
-            trial_value, trial_grad, trial_hess = _periodogram_derivatives(y, tp, sp, trial)
-            if trial_value >= value:  # False for NaN, which halves the step
+            trial = _periodogram_derivatives(y, tp, sp, (t0, t1))
+            if trial[0] >= value:  # False for NaN, which halves the step
                 break
-            step /= 2.0
+            s0, s1 = s0 / 2.0, s1 / 2.0
         if moved <= REFINE_X_TOLERANCE:
             break
-        x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
-    return float(x[0]), float(x[1])
+        x0, x1, (value, grad, hess) = t0, t1, trial
+        (g0, g1), ((h00, h01), (_, h11)) = grad.tolist(), hess.tolist()
+    return x0, x1
 
 
 def initial_guess(

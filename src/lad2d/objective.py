@@ -46,19 +46,19 @@ def periodogram_lattice(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Periodogram on the lattice lam_j = pi j / (R T), mu_k = pi k / (R S).
 
-    Returns (lams, mus, I) with I of shape (len(lams), len(mus)).  The double
-    sum separates, so the whole lattice costs two small matrix products.
+    Returns (lams, mus, I) with I of shape (len(lams), len(mus)).  The lattice
+    is the first R T + 1 rows and R S + 1 columns of a 2-D DFT zero-padded to
+    2 R T x 2 R S.  The DFT sums over t = 0 .. T - 1 where the model's t runs
+    from 1 to T; that shift (and the one in s) is only a phase, so the
+    modulus is the periodogram's.
     """
     if refinement < 1:
         raise ValueError(f"refinement must be >= 1, got {refinement}")
-    T, S = data.grid.T, data.grid.S
+    L, M = refinement * data.grid.T, refinement * data.grid.S
     # pi * n / n rounds above pi for some n (13, 26, 47, ...); clamp the top.
-    lams = np.minimum(np.pi * np.arange(refinement * T + 1) / (refinement * T), np.pi)
-    mus = np.minimum(np.pi * np.arange(refinement * S + 1) / (refinement * S), np.pi)
-    t, s = data.grid.t_values(), data.grid.s_values()
-    et = np.exp(-1j * np.outer(lams, t))  # (L, T)
-    es = np.exp(-1j * np.outer(s, mus))  # (S, M)
-    z = et @ data.values @ es
+    lams = np.minimum(np.pi * np.arange(L + 1) / L, np.pi)
+    mus = np.minimum(np.pi * np.arange(M + 1) / M, np.pi)
+    z = np.fft.fft(np.fft.rfft(data.values, n=2 * M, axis=1), n=2 * L, axis=0)[: L + 1]
     return lams, mus, (z.real**2 + z.imag**2) / data.grid.n
 
 

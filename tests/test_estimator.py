@@ -451,6 +451,99 @@ class TestRefinePeakFrequency:
         np.testing.assert_allclose(got, unit, atol=1e-9)
 
 
+def reference_refine_peak_frequency(field, lam, mu, grid_refinement):
+    """The former peak refinement loop, with 2x2 numpy bookkeeping."""
+    tolerance = estimator.REFINE_X_TOLERANCE
+    start = np.clip(np.array([lam, mu], dtype=float), 0.0, np.pi)
+    scale = float(np.max(np.abs(field.values)))
+    if not scale > 0.0:
+        return float(start[0]), float(start[1])
+    y = field.values / scale
+    t, s = field.grid.t_values(), field.grid.s_values()
+    tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
+    half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
+
+    x = start
+    value, grad, hess = estimator._periodogram_derivatives(y, tp, sp, x)
+    if not (np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return float(start[0]), float(start[1])
+    for _ in range(estimator.REFINE_MAX_STEPS):
+        low, high = x <= tolerance, x >= np.pi - tolerance
+        if np.all(low | high):
+            grad = np.zeros(2)
+        free = ~((low & (grad < 0.0)) | (high & (grad > 0.0)))
+        g = np.where(free, grad, 0.0)
+        h = np.where(np.outer(free, free), hess, -np.eye(2))
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        if h[0, 0] < 0.0 and det > 0.0:
+            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0], h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
+        elif np.any(g != 0.0):
+            step = g * (half_cell / np.max(np.abs(g)))
+        else:
+            curvature, vectors = np.linalg.eigh(h)
+            if curvature[-1] <= 0.0:
+                break
+            step = vectors[:, -1] * half_cell
+            ahead, back = (np.abs(np.clip(x + d, 0.0, np.pi) - x).max() for d in (step, -step))
+            if back > ahead:
+                step = -step
+        while True:
+            trial = np.clip(x + step, 0.0, np.pi)
+            moved = float(np.max(np.abs(trial - x)))
+            if moved <= tolerance:
+                break
+            trial_value, trial_grad, trial_hess = estimator._periodogram_derivatives(y, tp, sp, trial)
+            if trial_value >= value:
+                break
+            step /= 2.0
+        if moved <= tolerance:
+            break
+        x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+    return float(x[0]), float(x[1])
+
+
+#: Start coordinates on and next to the bounds: -0.0, the tolerance band's
+#: edges, the lattice top an ulp below pi (n = 11, 15, 22, 30 at R = 2) and pi.
+EDGE_STARTS = [
+    0.0, -0.0, 1e-12, np.nextafter(1e-12, 1.0), np.pi - 1e-12, np.nextafter(np.pi - 1e-12, 0.0),
+    np.nextafter(np.pi, 0.0), np.pi,
+]
+
+
+@st.composite
+def bit_identity_cases(draw):
+    """(field, starts): a ``refinement_fields`` field, or a zero field, at
+    scale 1 or 1e+-150, on any grid or one whose lattice top sits an ulp
+    below pi, with its top lattice peaks and three starts on or near the
+    bounds: in lam, in mu and in both (a box corner)."""
+    field, _ = draw(refinement_fields())
+    T, S = field.grid.T, field.grid.S
+    if draw(st.booleans()):
+        T, S = draw(st.sampled_from([(11, 22), (22, 15), (30, 30), (15, 11)]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        field = SignalField(Grid(T, S), rng.normal(size=(T, S)))
+    if draw(st.integers(0, 9)) == 0:
+        field = SignalField(field.grid, np.zeros((T, S)))
+    field = SignalField(field.grid, field.values * draw(st.sampled_from([1.0, 1e-150, 1e150])))
+    on_bound, inside = st.sampled_from(EDGE_STARTS), st.floats(0.0, np.pi)
+    edges = [
+        (draw(on_bound), draw(inside)), (draw(inside), draw(on_bound)), (draw(on_bound), draw(on_bound))
+    ]
+    peaks = [c[:2] for c in peak_candidates(field, 2, same_lobe_only=True, limit=3)]
+    return field, peaks + edges
+
+
+class TestRefinementMatchesNumpyLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(case=bit_identity_cases())
+    def test_same_float_bytes(self, case):
+        field, starts = case
+        for lam, mu in starts:
+            got = estimator._refine_peak_frequency(field, lam, mu, 2)
+            want = reference_refine_peak_frequency(field, lam, mu, 2)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (lam, mu, got, want)
+
+
 def dense_amplitudes(data, freqs):
     """The former amplitude solve: lstsq on the dense TS x 2p design."""
     t = data.grid.t_values()[:, None]

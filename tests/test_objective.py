@@ -338,10 +338,12 @@ class TestPickPeaks:
         assert abs(m1 - m2) >= sep
 
 
-def all_separated_peaks_oracle(data: SignalField, same_lobe_only: bool):
-    """Every separated local maximum, tallest first, filtered one by one
-    against the accepted list in O(K^2) (the pre-top-k selection)."""
-    lams, mus, intensity = periodogram_lattice(data, 2)
+def all_separated_peaks_oracle(
+    data: SignalField, same_lobe_only: bool, lattice=periodogram_lattice, refinement: int = 2
+):
+    """Every separated local maximum of ``lattice``, tallest first, filtered
+    one by one against the accepted list in O(K^2) (the pre-top-k selection)."""
+    lams, mus, intensity = lattice(data, refinement)
     mask = _local_maxima(intensity)
     idx = np.argwhere(mask)
     heights = intensity[mask]
@@ -401,3 +403,56 @@ class TestPeakCandidatesTopK:
         for k in range(13):
             got = peak_candidates(data, 2, same_lobe_only, limit=k, exclude=exclude)
             assert got == far[:k]
+
+
+def reference_periodogram_lattice(data: SignalField, refinement: int = 2):
+    """The former lattice: two complex matrix products over t = 1..T, s = 1..S."""
+    T, S = data.grid.T, data.grid.S
+    lams = np.minimum(np.pi * np.arange(refinement * T + 1) / (refinement * T), np.pi)
+    mus = np.minimum(np.pi * np.arange(refinement * S + 1) / (refinement * S), np.pi)
+    t, s = data.grid.t_values(), data.grid.s_values()
+    et = np.exp(-1j * np.outer(lams, t))  # (L, T)
+    es = np.exp(-1j * np.outer(s, mus))  # (S, M)
+    z = et @ data.values @ es
+    return lams, mus, (z.real**2 + z.imag**2) / data.grid.n
+
+
+@st.composite
+def lattice_fields(draw):
+    """(field, kind): noise, one sinusoid in noise, a constant or zeros, at
+    scale 1 or 1e+-150, on grids of 8 to 64 including the sizes 13, 26 and
+    47 whose lattice top pi * n / n rounds above pi."""
+    size = st.sampled_from([13, 26, 47]) | st.integers(8, 64)
+    T, S = draw(size), draw(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "sinusoid", "constant", "zero"]))
+    if kind == "noise":
+        values = rng.normal(size=(T, S))
+    elif kind == "sinusoid":
+        A, B, lam, mu = *rng.uniform(0.5, 1.5, size=2), *rng.uniform(0.0, np.pi, size=2)
+        truth = ModelParams((ComponentParams(A, B, lam, mu),))
+        values = synthesize_signal(truth, Grid(T, S)).values + 0.3 * rng.normal(size=(T, S))
+    else:
+        values = np.full((T, S), draw(st.floats(-2.0, 2.0)) if kind == "constant" else 0.0)
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    return SignalField(Grid(T, S), values * scale), kind
+
+
+class TestLatticeMatchesMatrixProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(case=lattice_fields(), refinement=st.integers(1, 3), same_lobe_only=st.booleans())
+    def test_same_positions_intensity_and_peaks(self, case, refinement, same_lobe_only):
+        data, kind = case
+        lams, mus, intensity = periodogram_lattice(data, refinement)
+        ref_lams, ref_mus, ref_intensity = reference_periodogram_lattice(data, refinement)
+        assert lams.tobytes() == ref_lams.tobytes() and mus.tobytes() == ref_mus.tobytes()
+        tolerance = max(1e-12 * ref_intensity.max(), np.finfo(float).tiny)
+        np.testing.assert_allclose(intensity, ref_intensity, rtol=0.0, atol=tolerance)
+        if kind in ("noise", "sinusoid"):
+            got = peak_candidates(data, refinement, same_lobe_only)
+            want = all_separated_peaks_oracle(
+                data, same_lobe_only, reference_periodogram_lattice, refinement
+            )
+            assert [c[:2] for c in got] == [c[:2] for c in want]
+            heights = [c[2] for c in got], [c[2] for c in want]
+            np.testing.assert_allclose(*heights, rtol=0.0, atol=tolerance)
