@@ -14,7 +14,6 @@ frequencies).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -220,8 +219,9 @@ class _LeastSquaresProfile:
     """The least-squares objective with the amplitudes solved out (variable
     projection, Golub & Pereyra 1973): a function of the 2p frequencies
     (lam_1, mu_1, ..., lam_p, mu_p) alone, in units of the data's mean
-    square, so that a simplex's ``f_tolerance`` on it is relative and the
-    fit is scale-equivariant.
+    square.  ``fit`` already scales the data to a robust scale in [1, 2),
+    but on the 24 p=2 50x50 t1 fields of seeds 0-23 the simplex ran 30%
+    more iterations (13-53% per field) in those units than in these.
 
     At a well-conditioned Gram matrix the objective is (||y||^2 - b'c) / TS,
     with b the right-hand side and c the solved amplitudes.  Where the
@@ -451,46 +451,47 @@ def initial_guess(
 
 
 def default_fit_config(p: int, grid: Grid, method: str = "lad") -> SimplexConfig:
-    """The simplex ``fit`` runs when the caller gives no ``config``.
+    """The simplex ``fit`` runs for p components on ``grid`` by ``method``.
 
-    Steps are sized to the problem: 0.1 on amplitudes, half a lattice cell on
-    frequencies (the frequency objective has an O(1/T) wide basin).  LAD
-    searches all n = 4p parameters with Gao and Han's dimension-adaptive
-    coefficients (``adaptive_coefficients(4p)``) and no restart.  LSE
-    searches the 2p frequencies with the textbook coefficients (1, 2, 1/2,
-    1/2) and one restart: there the adaptive ones, with or without the
-    restart, ended above it in 11 of 12 seeds at p=2 50x50 t1 (by at most
-    9e-13 relative).
+    Steps are sized to the problem: 0.1 on amplitudes, which ``fit`` sees
+    at a robust scale in [1, 2), and half a lattice cell on frequencies (the
+    frequency objective has an O(1/T) wide basin).  LAD searches all n = 4p
+    parameters with Gao and Han's dimension-adaptive coefficients
+    (``adaptive_coefficients(4p)``) and no restart.  LSE searches the 2p
+    frequencies with the textbook coefficients (1, 2, 1/2, 1/2) and one
+    restart: there the adaptive ones, with or without the restart, ended
+    above it in 11 of 12 seeds at p=2 50x50 t1 (by at most 9e-13 relative).
 
     The LAD simplex from ``initial_guess`` on the fields of the test
-    ``TestAdaptiveSimplexQuality``, seeds 0-11 per shape.  Evaluations
-    are the median [min, max]; the gap is the median relative distance
-    above a reference minimum, reached by twelve restarts of the adaptive
-    and then of the textbook simplex from the better end of the two marked
-    runs (*).  Adaptive coefficients (expansion, contraction, shrink) are
-    (1.5, 0.625, 0.75) at n = 4, (1.25, 0.6875, 0.875) at n = 8 and
-    (1.167, 0.708, 0.917) at n = 12.
+    ``TestAdaptiveSimplexQuality``, seeds 0-11 per shape, scaled by 2^-k as
+    ``fit`` scales them (k = 0 on every p=1 field, 2 on every p=2 and p=3
+    field).  Evaluations are the median [min, max]; the gap is the median
+    relative distance above a reference minimum, reached by twelve restarts
+    of the adaptive and then of the textbook simplex from the better end of
+    the two marked runs (*).  Adaptive coefficients (expansion, contraction,
+    shrink) are (1.5, 0.625, 0.75) at n = 4, (1.25, 0.6875, 0.875) at n = 8
+    and (1.167, 0.708, 0.917) at n = 12.
 
     ===================  ==  ============  ========  ===================  =======
     shape                n   coefficients  restarts  evaluations          gap
     ===================  ==  ============  ========  ===================  =======
     p=1 25x25 gaussian   4   adaptive      0 (*)     524 [441, 789]       7.6e-10
     sigma=0.1                adaptive      1         930 [831, 1169]      1.4e-11
-                             textbook      0         460 [338, 753]       6.0e-08
+                             textbook      0         460 [338, 753]       5.9e-08
                              textbook      1 (*)     766 [641, 1078]      4.5e-09
-    p=2 50x50 t1         8   adaptive      0 (*)     2038 [1406, 3107]    6.8e-09
-                             adaptive      1         3498 [2512, 4548]    3.1e-10
-                             textbook      0         1587 [1124, 1990]    3.3e-07
-                             textbook      1 (*)     2653 [2009, 3150]    9.3e-08
-    p=3 40x40 t1         12  adaptive      0 (*)     5132 [3789, 8631]    1.6e-07
-                             adaptive      1         8832 [6540, 11869]   3.3e-08
-                             textbook      0         3686 [2476, 4334]    2.4e-05
-                             textbook      1 (*)     5748 [4578, 7191]    8.4e-07
+    p=2 50x50 t1         8   adaptive      0 (*)     1671 [1231, 3095]    7.2e-09
+                             adaptive      1         3096 [2189, 4238]    1.6e-09
+                             textbook      0         1119 [794, 1776]     2.1e-07
+                             textbook      1 (*)     2017 [1692, 2871]    6.5e-08
+    p=3 40x40 t1         12  adaptive      0 (*)     3226 [2387, 6058]    1.2e-07
+                             adaptive      1         6002 [4533, 10269]   7.6e-08
+                             textbook      0         3129 [1772, 5380]    9.9e-06
+                             textbook      1 (*)     5088 [3988, 7355]    1.4e-06
     ===================  ==  ============  ========  ===================  =======
 
-    The default (adaptive, no restart) costs 11-32% fewer evaluations than
-    the textbook simplex with its restart and ends 5-14 times closer to the
-    reference.  A restart would close the gap further at 72-77% more cost.
+    The default (adaptive, no restart) costs 17-37% fewer evaluations than
+    the textbook simplex with its restart and ends 6-12 times closer to the
+    reference.  A restart would close the gap further at 77-86% more cost.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -502,15 +503,6 @@ def default_fit_config(p: int, grid: Grid, method: str = "lad") -> SimplexConfig
         restarts=0,
         **adaptive_coefficients(4 * p),
     )
-
-
-def _frequency_config(cfg: SimplexConfig, p: int) -> SimplexConfig:
-    """``cfg`` for the simplex over the 2p frequencies alone: a per-coordinate
-    ``initial_step`` of length 4p keeps its frequency entries."""
-    steps = np.asarray(cfg.initial_step, dtype=float)
-    if steps.shape != (4 * p,):
-        return cfg
-    return dataclasses.replace(cfg, initial_step=steps.reshape(p, 4)[:, 2:].ravel().tolist())
 
 
 def _rescue_missed_components(
@@ -576,31 +568,48 @@ def _rescue_missed_components(
     return best
 
 
+def _scale_exponent(values: np.ndarray) -> int:
+    """The k that ``fit`` divides the data by 2^k with: floor(log2) of the
+    robust scale, so the scaled data's lies in [1, 2) (with [1/2, 1) the
+    adaptive LAD simplex lost the p=1 row of ``default_fit_config``'s table).
+    The robust scale is the MAD about the median, else the largest |value|;
+    a zero field gets k = 0.  k is raised where the largest |value| would
+    scale to 2^400 or more, so squares and sums of the data stay finite."""
+    mad = float(np.median(np.abs(values - np.median(values))))
+    largest = float(np.max(np.abs(values)))
+    scale = mad if 0.0 < mad < math.inf else largest
+    if not scale > 0.0:
+        return 0
+    return max(math.frexp(scale)[1] - 1, math.frexp(largest)[1] - 400)
+
+
 def fit(
     data: SignalField,
     p: int,
     method: str = "lad",
     init: ModelParams | None = None,
-    config: SimplexConfig | None = None,
     noise_for_se: NoiseSpec | None = None,
     amplitude_bound: float = 1e6,
     grid_refinement: int = 2,
 ) -> EstimateReport:
     """Fit p components to the observed field by the chosen objective.
 
-    LAD runs Nelder-Mead over all 4p parameters, by default with
-    dimension-adaptive coefficients and no restart.  LSE profiles the
-    amplitudes out: at fixed frequencies they solve a 2p x 2p linear system,
-    so its simplex runs over the 2p frequencies alone, by default with the
-    textbook coefficients and one restart; its iteration count counts that
-    simplex, and its amplitudes come from the solve, clipped to
-    ``amplitude_bound``.  The defaults are ``default_fit_config(p, grid,
-    method)``.  A caller's ``config`` is used as given, except that of an
-    ``initial_step`` with one entry per parameter (4p) the LSE simplex uses
-    the frequency entries; a scalar step applies to it as given.  That
-    simplex sees the objective in units of the data's mean square, so its
-    ``f_tolerance`` is relative.  ``amplitude_bound`` must be positive
-    (``math.inf`` lifts the box).
+    The fit runs on the data times 2^-k (:func:`_scale_exponent`), so the
+    simplex's steps and tolerances are relative to the data's scale; the
+    amplitudes come back times 2^k and the objective times 2^k (LAD) or 4^k
+    (LSE).  That is exact: ``fit(y * 2^j)`` is ``fit(y)`` so scaled, bit for
+    bit, wherever neither under- or overflows.  An objective beyond the
+    largest float raises ``FitError``.
+
+    LAD runs Nelder-Mead over all 4p parameters with dimension-adaptive
+    coefficients and no restart.  LSE profiles the amplitudes out: at fixed
+    frequencies they solve a 2p x 2p linear system, so its simplex runs over
+    the 2p frequencies alone, with the textbook coefficients and one restart,
+    on the objective in units of the data's mean square; its iteration count
+    counts that simplex, and its amplitudes come from the solve, clipped to
+    ``amplitude_bound``.  Both simplexes are ``default_fit_config(p, grid,
+    method)``.  ``amplitude_bound`` must be positive (``math.inf`` lifts the
+    box).
 
     ``noise_for_se`` attaches asymptotic standard errors (robust objective
     only); it supplies the noise density at zero analytically.
@@ -618,31 +627,27 @@ def fit(
     if not (amplitude_bound > 0):
         raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
 
-    start = init if init is not None else initial_guess(data, p, grid_refinement, amplitude_bound)
-    x0 = start.as_vector()
-    cfg = config or default_fit_config(p, data.grid, method)
-    profile, shift = None, 0
-    if method == "lad":
-        # The simplex's steps and tolerances are absolute, sized for
-        # amplitudes inside the default box.  A start beyond it (the caller
-        # widened the box) is fitted on the data times 2^-shift, which is
-        # exact, and scaled back.
+    k = _scale_exponent(data.values)
+    data = SignalField(data.grid, np.ldexp(data.values, -k))
+    try:
+        bound = math.ldexp(amplitude_bound, -k)
+    except OverflowError:  # data below about 1e-302: no float amplitude reaches the box
+        bound = math.inf
+    if init is None:
+        x0 = initial_guess(data, p, grid_refinement, bound).as_vector()
+    else:
+        x0 = init.as_vector()
         amplitudes = x0.reshape(p, 4)[:, :2]  # a view into x0
-        largest = float(np.abs(amplitudes).max())
-        if largest > AMPLITUDE_BOUND:
-            shift = math.frexp(largest)[1]
-            data = SignalField(data.grid, np.ldexp(data.values, -shift))
-            np.ldexp(amplitudes, -shift, out=amplitudes)
-        bound = math.ldexp(amplitude_bound, -shift)
-        np.clip(amplitudes, -bound, bound, out=amplitudes)
+        np.clip(np.ldexp(amplitudes, -k), -bound, bound, out=amplitudes)
+    cfg = default_fit_config(p, data.grid, method)
+    if method == "lad":
+        profile = None
         bounds = [(-bound, bound), (-bound, bound), (0.0, np.pi), (0.0, np.pi)] * p
         objective = lambda th: lad_objective_vec(th, data)
     else:
-        # No shift: this simplex has no amplitude coordinates.
-        profile = _LeastSquaresProfile(data, amplitude_bound)
+        profile = _LeastSquaresProfile(data, bound)
         x0 = x0.reshape(p, 4)[:, 2:].ravel()
         bounds = [(0.0, np.pi)] * (2 * p)
-        cfg = _frequency_config(cfg, p)
         objective = profile
 
     result: OptimResult = nelder_mead(objective, x0, bounds, cfg)
@@ -652,11 +657,17 @@ def fit(
             profile,
         )
     if profile is None:
-        vec, value = result.best_point.copy(), math.ldexp(result.best_value, shift)
-        np.ldexp(vec.reshape(p, 4)[:, :2], shift, out=vec.reshape(p, 4)[:, :2])
+        vec, value = result.best_point.copy(), result.best_value
     else:
         vec = profile.vector(result.best_point)
         value = lse_objective_vec(vec, data)
+    try:
+        value = math.ldexp(value, k if profile is None else 2 * k)
+    except OverflowError as exc:
+        raise FitError(f"the {method} objective is beyond the largest float at this scale") from exc
+    amplitudes = vec.reshape(p, 4)[:, :2]
+    with np.errstate(over="ignore"):  # an infinite amplitude fails ModelParams below
+        np.ldexp(amplitudes, k, out=amplitudes)
     try:
         params_hat = ModelParams.from_vector(vec, amplitude_bound)
     except ValueError as exc:  # e.g. two components collapsed onto one frequency
@@ -672,8 +683,7 @@ def fit(
     )
     if not result.converged:
         report.diagnostics += ("optimizer hit the iteration limit",)
-    amplitudes = np.abs(vec.reshape(-1, 4)[:, :2])
-    if np.any(amplitudes >= amplitude_bound * (1.0 - PINNED_RTOL)):
+    if np.any(np.abs(amplitudes) >= amplitude_bound * (1.0 - PINNED_RTOL)):
         report.diagnostics += (
             f"an amplitude is pinned at the amplitude bound {amplitude_bound!r}: "
             "the data's scale exceeds the amplitude box",

@@ -18,7 +18,6 @@ from .estimator import FitError, aligned_vector, asymptotic_variances, fit, para
 from .model import ComponentParams, Grid, ModelParams
 from .noise import NoiseSpec, density_at_zero, noisy_observation, parse_noise_spec, replication_seed
 from .objective import PeakPickingError
-from .optimizer import SimplexConfig
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class ExperimentSpec:
     methods: tuple[str, ...] = ("lad", "lse")
     replications: int = 1000
     base_seed: int = 0
-    optimizer: SimplexConfig | None = None
     #: When True, non-converged least-squares fits are dropped from AE/MSE like
     #: robust ones.  Off by default: averaging diverged squared-error fits is
     #: what produces the characteristic breakdown magnitudes.
@@ -70,12 +68,12 @@ class ExperimentResult:
 
 def _fit_one_replication(args) -> list[tuple[object, bool]]:
     """Worker: one replication on one grid; returns per-method (vector|None, converged)."""
-    truth, grid, noise, methods, optimizer, base_seed, rep = args
+    truth, grid, noise, methods, base_seed, rep = args
     data = noisy_observation(truth, grid, noise, replication_seed(base_seed, rep))
     records: list[tuple[object, bool]] = []
     for method in methods:
         try:
-            report = fit(data, truth.p, method=method, config=optimizer)
+            report = fit(data, truth.p, method=method)
         except Exception as exc:  # one bad replication must not abort the run
             if not isinstance(exc, (PeakPickingError, FitError, np.linalg.LinAlgError)):
                 warnings.warn(
@@ -104,7 +102,7 @@ def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
     cells: list[MethodCellStats] = []
     for grid in spec.grids:
         job_args = [
-            (spec.truth, grid, spec.noise, spec.methods, spec.optimizer, spec.base_seed, r)
+            (spec.truth, grid, spec.noise, spec.methods, spec.base_seed, r)
             for r in range(spec.replications)
         ]
         if n_jobs > 1:
@@ -262,22 +260,6 @@ def _emit_text(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_steps(text: str) -> float | list[float]:
-    steps = [float(v) for v in text.split(",")]
-    return steps[0] if len(steps) == 1 else steps
-
-
-#: The ``optimizer.<field>`` config keys: the SimplexConfig fields a config
-#: may set, each with the parser of its value.
-_OPTIMIZER_KEYS = {
-    "max_iterations": int,
-    "x_tolerance": float,
-    "f_tolerance": float,
-    "restarts": int,
-    "initial_step": _parse_steps,
-}
-
-
 def parse_grids(text: str) -> tuple[Grid, ...]:
     """Parse a comma list of grid sizes, e.g. ``25x25,50x50``; blank entries are skipped.
 
@@ -298,15 +280,26 @@ def parse_grids(text: str) -> tuple[Grid, ...]:
     return tuple(grids)
 
 
+#: The keys a config may set besides ``truth.*``, each with its default.
+_CONFIG_DEFAULTS = {
+    "noise": "none",
+    "grids": "",
+    "reps": "1000",
+    "seed": "0",
+    "methods": "lad,lse",
+    "exclude_lse_failures": "false",
+}
+
+
 def read_experiment_config(text: str) -> ExperimentSpec:
     """Parse the plain-text key=value experiment description.
 
-    Recognized keys: ``truth.A<k>``, ``truth.B<k>``, ``truth.lambda<k>``,
+    The keys are ``truth.A<k>``, ``truth.B<k>``, ``truth.lambda<k>``,
     ``truth.mu<k>``, ``noise``, ``grids`` (comma list of TxS), ``reps``,
-    ``seed``, ``methods`` (comma list), ``exclude_lse_failures``, and optional
-    ``optimizer.max_iterations`` / ``optimizer.x_tolerance`` /
-    ``optimizer.f_tolerance`` / ``optimizer.restarts`` /
-    ``optimizer.initial_step``.  Lines starting with '#' are comments.
+    ``seed``, ``methods`` (comma list) and ``exclude_lse_failures`` (``true``
+    or ``false``).  Any other key raises ``ValueError`` naming it; there is
+    no simplex setting, because ``fit`` sizes its simplex from p, the grid
+    and the method.  Lines starting with '#' are comments.
     """
     entries: dict[str, str] = {}
     for raw in text.splitlines():
@@ -319,8 +312,7 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         entries[key.strip()] = value.strip()
 
     truth_fields: dict[int, dict[str, float]] = {}
-    optimizer_fields: dict[str, str] = {}
-    simple: dict[str, str] = {}
+    simple = dict(_CONFIG_DEFAULTS)
     for key, value in entries.items():
         if key.startswith("truth."):
             tail = key[len("truth.") :]
@@ -331,10 +323,12 @@ def read_experiment_config(text: str) -> ExperimentSpec:
                     break
             else:
                 raise ValueError(f"unknown truth key {key!r}")
-        elif key.startswith("optimizer."):
-            optimizer_fields[key[len("optimizer.") :]] = value
-        else:
+        elif key in simple:
             simple[key] = value
+        else:
+            raise ValueError(
+                f"unknown config key {key!r}; expected truth.* or one of {sorted(simple)}"
+            )
 
     if not truth_fields:
         raise ValueError("config must define at least truth.A1/B1/lambda1/mu1")
@@ -347,33 +341,19 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         comps.append(ComponentParams(fields["A"], fields["B"], fields["lambda"], fields["mu"]))
     truth = ModelParams(tuple(comps))
 
-    grids = parse_grids(simple.get("grids", ""))
+    grids = parse_grids(simple["grids"])
     if not grids:
         raise ValueError("config must define grids=TxS[,TxS...]")
-
-    noise = parse_noise_spec(simple.get("noise", "none"))
-    methods = tuple(
-        m.strip() for m in simple.get("methods", "lad,lse").split(",") if m.strip()
-    )
-    optimizer = None
-    if optimizer_fields:
-        kwargs = {
-            key: parse(optimizer_fields[key])
-            for key, parse in _OPTIMIZER_KEYS.items()
-            if key in optimizer_fields
-        }
-        unknown = set(optimizer_fields) - set(_OPTIMIZER_KEYS)
-        if unknown:
-            raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
-        optimizer = SimplexConfig(**kwargs)
+    exclude = simple["exclude_lse_failures"].lower()
+    if exclude not in ("true", "false"):
+        raise ValueError(f"exclude_lse_failures must be true or false, got {exclude!r}")
 
     return ExperimentSpec(
         truth=truth,
         grids=grids,
-        noise=noise,
-        methods=methods,
-        replications=int(simple.get("reps", "1000")),
-        base_seed=int(simple.get("seed", "0")),
-        optimizer=optimizer,
-        exclude_lse_failures=simple.get("exclude_lse_failures", "false").lower() == "true",
+        noise=parse_noise_spec(simple["noise"]),
+        methods=tuple(m.strip() for m in simple["methods"].split(",") if m.strip()),
+        replications=int(simple["reps"]),
+        base_seed=int(simple["seed"]),
+        exclude_lse_failures=exclude == "true",
     )

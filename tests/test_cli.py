@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -294,20 +293,6 @@ class TestMc:
             ae = float(rows["AE"][j])
             mse = float(rows["MSE"][j])
             assert mse == (ae - truth[name]) ** 2
-
-    def test_per_parameter_initial_step_runs_both_methods(self, runner, tmp_path):
-        config = tmp_path / "exp.cfg"
-        text = MC_CONFIG.format(reps=2).replace("methods = lad", "methods = lad,lse")
-        config.write_text(text + "optimizer.initial_step = 0.1,0.1,0.02,0.02\n")
-        out = tmp_path / "r"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = invoke(runner, ["mc", "--config", str(config), "--out", str(out)])
-        assert result.exit_code == 0
-        lines = (out / "results.csv").read_text().strip().splitlines()
-        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-        assert {row["method"] for row in rows} == {"lad", "lse"}
-        assert all(row["n_hard_failures"] == "0" for row in rows)
 
     def test_reps_and_grids_override_the_config(self, runner, tmp_path):
         config = tmp_path / "exp.cfg"

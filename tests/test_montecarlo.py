@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,7 +98,7 @@ class TestFailurePolicy:
         """Drive the aggregation with a scripted sequence of fit outcomes."""
         calls = {"n": 0}
 
-        def fake_fit(data, p, method="lad", config=None, **kwargs):
+        def fake_fit(data, p, method="lad", **kwargs):
             outcome = reports[method][calls["n"] // 2 if len(reports) == 2 else calls["n"]]
             calls["n"] += 1
             if outcome == "hard":
@@ -152,7 +154,7 @@ class TestFailurePolicy:
     def test_lse_nonconverged_included_by_default(self, one_component_truth, monkeypatch):
         calls = {"n": 0}
 
-        def fake_fit(data, p, method="lad", config=None, **kwargs):
+        def fake_fit(data, p, method="lad", **kwargs):
             from lad2d.estimator import EstimateReport
 
             calls["n"] += 1
@@ -266,7 +268,6 @@ class TestConfig:
         assert spec.replications == 12
         assert spec.base_seed == 77
         assert spec.methods == ("lad", "lse")
-        assert spec.optimizer is None
 
     def test_defaults(self):
         spec = read_experiment_config(
@@ -276,35 +277,46 @@ class TestConfig:
         assert spec.methods == ("lad", "lse")
         assert spec.noise == NoiseSpec("none")
 
-    def test_optimizer_overrides(self):
-        spec = read_experiment_config(
-            "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
-            "optimizer.max_iterations=500\noptimizer.restarts=0\n"
-        )
-        assert spec.optimizer.max_iterations == 500
-        assert spec.optimizer.restarts == 0
-
-    def test_optimizer_table_parses_every_key(self):
-        spec = read_experiment_config(
-            "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
-            "optimizer.x_tolerance=1e-7\noptimizer.f_tolerance=1e-10\n"
-            "optimizer.initial_step=0.1,0.1,0.02,0.02\n"
-        )
-        assert spec.optimizer.x_tolerance == 1e-7 and spec.optimizer.f_tolerance == 1e-10
-        assert spec.optimizer.initial_step == [0.1, 0.1, 0.02, 0.02]
-        assert spec.optimizer.max_iterations is None and spec.optimizer.restarts == 1
-        scalar = read_experiment_config(
-            "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
-            "optimizer.initial_step=0.05\n"
-        )
-        assert scalar.optimizer.initial_step == 0.05
-
     def test_unknown_optimizer_key_is_named(self):
-        with pytest.raises(ValueError, match=r"unknown optimizer config keys: \['alpha'\]"):
+        # The simplex is a function of (p, grid, method); no key tunes it.
+        for key in ("max_iterations", "x_tolerance", "f_tolerance", "restarts", "initial_step"):
+            with pytest.raises(ValueError, match=rf"unknown config key 'optimizer\.{key}'"):
+                read_experiment_config(
+                    "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
+                    f"optimizer.{key}=1\n"
+                )
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("rep=5", r"unknown config key 'rep'"),
+            ("method=lse", r"unknown config key 'method'"),
+            ("noize=t1", r"unknown config key 'noize'"),
+            ("optimizer.restarts=0", r"unknown config key 'optimizer\.restarts'"),
+            ("exclude_lse_failures=yes", r"exclude_lse_failures must be true or false, got 'yes'"),
+        ],
+    )
+    def test_misspelt_or_unknown_setting_is_named(self, line, message):
+        with pytest.raises(ValueError, match=message):
             read_experiment_config(
-                "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
-                "optimizer.alpha=2\noptimizer.restarts=0\n"
+                f"truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n{line}\n"
             )
+
+    @pytest.mark.parametrize("value,expected", [("true", True), ("False", False)])
+    def test_exclude_lse_failures_reads_true_or_false(self, value, expected):
+        spec = read_experiment_config(
+            "truth.A1=1\ntruth.B1=1\ntruth.lambda1=0.5\ntruth.mu1=0.5\ngrids=16x16\n"
+            f"exclude_lse_failures={value}\n"
+        )
+        assert spec.exclude_lse_failures is expected
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        intro = readme.index("`lad2d mc` reads plain `key = value` files:")
+        start = readme.index("```\n", intro) + len("```\n")
+        spec = read_experiment_config(readme[start : readme.index("```", start)])
+        assert spec.truth.components[0] == ComponentParams(2.4, 1.4, 0.4, 0.6)
+        assert spec.grids == (Grid(25, 25), Grid(50, 50), Grid(150, 150))
 
     @pytest.mark.parametrize(
         "text",
