@@ -1,9 +1,10 @@
 """Command-line front end: simulate / estimate / mc / asyvar / periodogram / texture.
 
 Every run writes a ``.meta`` sidecar with its fully resolved configuration
-(defaults and seed included) so the exact invocation can be replayed.  Exit
-codes are stable for scripting: 0 success, 1 fit or peak-picking failure,
-2 flag or I/O errors.
+(defaults and seed included), so the exact invocation can be replayed, and
+with the package, Python, numpy and platform it ran on.  Exit codes are
+stable for scripting: 0 success, 1 fit or peak-picking failure, 2 flag or
+I/O errors.
 """
 
 from __future__ import annotations
@@ -11,16 +12,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import platform
 import re
 import sys
 
 import click
+import numpy as np
 
+from . import __version__
 from .estimator import FitError, asymptotic_variances, fit, parameter_names, report_to_csv, report_to_text
 from .model import ComponentParams, Grid, ModelParams, read_signal_text, write_signal_text
 from .montecarlo import emit_table, parse_grids, read_experiment_config, run_experiment
 from .noise import NoiseSpec, density_at_zero, noisy_observation, parse_noise_spec
-from .objective import PeakPickingError, periodogram_lattice, pick_peaks
+from .objective import LATTICE_REFINEMENT, PeakPickingError, periodogram_lattice, pick_peaks
 from .texture import mean_absolute_pixel_error, texture_demo, write_pgm
 
 _COMPONENT_FLAG = re.compile(r"^--([ABlm])([1-9][0-9]*)$")
@@ -90,7 +94,9 @@ def _write(path: str, content: str | bytes) -> None:
 
 
 def _write_meta(path: str, command: str, options: dict) -> None:
-    meta = {"command": command, "options": options}
+    environment = {"lad2d": __version__, "python": platform.python_version(),
+                   "numpy": np.__version__, "platform": platform.platform()}
+    meta = {"command": command, "options": options, "environment": environment}
     _write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -159,18 +165,16 @@ def simulate(p, T, S, noise_text, seed, out_path, component_flags) -> None:
 @click.option("--method", type=click.Choice(["lad", "lse"]), default="lad", show_default=True)
 @click.option("--se-noise", "se_noise_text", default=None,
               help="Noise spec used to attach asymptotic standard errors (lad only).")
-@click.option("--refinement", type=int, default=2, show_default=True)
 @click.option("--out", "out_stem", required=True, type=click.Path(),
               help="Output stem; writes <stem>.csv and <stem>.txt.")
 @click.argument("component_flags", nargs=-1, type=click.UNPROCESSED)
-def estimate(in_path, p, method, se_noise_text, refinement, out_stem, component_flags) -> None:
+def estimate(in_path, p, method, se_noise_text, out_stem, component_flags) -> None:
     """Fit p components to a signal file and write the estimate report."""
     init = _parse_component_flags(component_flags, p, required=False)
     data = _read_signal(in_path)
     se_noise = _parse_noise(se_noise_text) if se_noise_text else None
     try:
-        report = fit(data, p, method=method, init=init, noise_for_se=se_noise,
-                     grid_refinement=refinement)
+        report = fit(data, p, method=method, init=init, noise_for_se=se_noise)
     except (PeakPickingError, FitError) as exc:
         click.echo(f"error: fit failed: {exc}", err=True)
         sys.exit(EXIT_FIT_FAILURE)
@@ -180,7 +184,7 @@ def estimate(in_path, p, method, se_noise_text, refinement, out_stem, component_
     _write(out_stem + ".csv", report_to_csv(report))
     _write(out_stem + ".txt", report_to_text(report))
     options = {"in": in_path, "p": p, "method": method, "se_noise": se_noise_text,
-               "refinement": refinement, "out": out_stem}
+               "out": out_stem}
     options.update(_component_options(init))
     _write_meta(out_stem + ".meta", "estimate", options)
     click.echo(report_to_text(report), nl=False)
@@ -256,7 +260,8 @@ def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--p", "p", type=int, default=1, show_default=True)
-@click.option("--refinement", type=int, default=2, show_default=True)
+@click.option("--refinement", type=click.IntRange(min=1), default=LATTICE_REFINEMENT,
+              show_default=True, help="Lattice refinement R; the fit always uses the default.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def periodogram(in_path, p, refinement, out_path) -> None:
     """Dump the periodogram lattice as CSV and print the top-p peak list."""

@@ -23,6 +23,7 @@ import numpy as np
 from .model import AMPLITUDE_BOUND, Grid, ModelParams, SignalField, model_grid_values
 from .noise import NoiseSpec, density_at_zero
 from .objective import (
+    LATTICE_REFINEMENT,
     PeakPickingError,
     lad_objective_vec,
     lse_objective_vec,
@@ -322,9 +323,7 @@ def _into_box(v: float) -> float:
     return 0.0 if v < 0.0 else (np.pi if v > np.pi else v)
 
 
-def _refine_peak_frequency(
-    field: SignalField, lam: float, mu: float, grid_refinement: int
-) -> tuple[float, float]:
+def _refine_peak_frequency(field: SignalField, lam: float, mu: float) -> tuple[float, float]:
     """Local maximizer of the continuous periodogram next to a lattice peak.
 
     Projected Newton ascent from (lam, mu) inside [0, pi]^2, on the field
@@ -349,7 +348,7 @@ def _refine_peak_frequency(
     y = field.values / scale
     t, s = field.grid.t_values(), field.grid.s_values()
     tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
-    half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
+    half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
     near_pi = np.pi - REFINE_X_TOLERANCE
 
     value, grad, hess = _periodogram_derivatives(y, tp, sp, (x0, x1))
@@ -407,10 +406,7 @@ def _refine_peak_frequency(
 
 
 def initial_guess(
-    data: SignalField,
-    p: int,
-    grid_refinement: int = 2,
-    amplitude_bound: float = AMPLITUDE_BOUND,
+    data: SignalField, p: int, *, amplitude_bound: float = AMPLITUDE_BOUND
 ) -> ModelParams:
     """Truth-agnostic starting point for the joint optimization.
 
@@ -421,7 +417,9 @@ def initial_guess(
     so far (the model is linear there), and peel the partial fit off before
     looking for the next peak.  Peeling keeps weak components visible next to
     strong ones; the estimate itself still comes from the joint minimization.
-    Start amplitudes are clipped to ``amplitude_bound``.
+    The periodogram lattice is ``LATTICE_REFINEMENT`` times finer than the
+    Fourier frequencies.  Start amplitudes are clipped to the keyword-only
+    ``amplitude_bound``.
     """
     if not (amplitude_bound > 0):
         raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
@@ -432,15 +430,13 @@ def initial_guess(
     residual = clipped
     for k in range(p):
         # Ignore leftovers of already-peeled components (close in both axes).
-        candidates = peak_candidates(
-            residual, grid_refinement, same_lobe_only=True, limit=1, exclude=freqs
-        )
+        candidates = peak_candidates(residual, same_lobe_only=True, limit=1, exclude=freqs)
         if not candidates:
             raise PeakPickingError(
                 f"insufficient peaks: found {k} separated local maxima, need {p}"
             )
         lam, mu = candidates[0][:2]
-        freqs.append(_refine_peak_frequency(residual, lam, mu, grid_refinement))
+        freqs.append(_refine_peak_frequency(residual, lam, mu))
         coef = _amplitudes_given_frequencies(clipped, freqs)
         if k + 1 < p:
             fitted = model_grid_values(_pack(coef, freqs), t, s)
@@ -506,13 +502,11 @@ def default_fit_config(p: int, grid: Grid, method: str = "lad") -> SimplexConfig
 
 
 def _rescue_missed_components(
-    data: SignalField,
     clipped: SignalField,
     objective,
     result: OptimResult,
     bounds,
     cfg: SimplexConfig,
-    grid_refinement: int,
     profile: _LeastSquaresProfile | None = None,
 ) -> OptimResult:
     """Swap a fitted component for a peak left in the residual, if that helps.
@@ -526,11 +520,12 @@ def _rescue_missed_components(
     objective.  Swapping one noise bump for another never clears that gate,
     so healthy fits pay only a handful of objective evaluations.
 
-    Without ``profile`` a simplex point is the full (A1, B1, lam1, mu1, ...)
-    vector and a start's amplitudes are refit on ``clipped``; with it a point
-    holds the frequencies alone and ``profile`` solves the amplitudes.
+    The residual is taken from ``clipped``, the preprocessed data.  Without
+    ``profile`` a simplex point is the full (A1, B1, lam1, mu1, ...) vector
+    and a start's amplitudes are refit on ``clipped``; with it a point holds
+    the frequencies alone and ``profile`` solves the amplitudes.
     """
-    t, s = data.grid.t_values(), data.grid.s_values()
+    t, s = clipped.grid.t_values(), clipped.grid.s_values()
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     best = result
@@ -539,14 +534,12 @@ def _rescue_missed_components(
     for _ in range(p):
         vec = best.best_point if profile is None else profile.vector(best.best_point)
         freqs = [(vec[4 * k + 2], vec[4 * k + 3]) for k in range(p)]
-        residual = SignalField(data.grid, clipped.values - model_grid_values(vec, t, s))
-        candidates = peak_candidates(
-            residual, grid_refinement, same_lobe_only=True, limit=scan, exclude=freqs
-        )
+        residual = SignalField(clipped.grid, clipped.values - model_grid_values(vec, t, s))
+        candidates = peak_candidates(residual, same_lobe_only=True, limit=scan, exclude=freqs)
         weakest = min(range(p), key=lambda k: vec[4 * k] ** 2 + vec[4 * k + 1] ** 2)
         improved = False
         for lam, mu, _ in candidates:
-            lam, mu = _refine_peak_frequency(residual, lam, mu, grid_refinement)
+            lam, mu = _refine_peak_frequency(residual, lam, mu)
             new_freqs = list(freqs)
             new_freqs[weakest] = (lam, mu)
             if profile is None:
@@ -590,7 +583,6 @@ def fit(
     init: ModelParams | None = None,
     noise_for_se: NoiseSpec | None = None,
     amplitude_bound: float = 1e6,
-    grid_refinement: int = 2,
 ) -> EstimateReport:
     """Fit p components to the observed field by the chosen objective.
 
@@ -609,7 +601,10 @@ def fit(
     counts that simplex, and its amplitudes come from the solve, clipped to
     ``amplitude_bound``.  Both simplexes are ``default_fit_config(p, grid,
     method)``.  ``amplitude_bound`` must be positive (``math.inf`` lifts the
-    box).
+    box).  Without ``init`` the start comes from :func:`initial_guess`, and a
+    rescue pass then tries the residual's periodogram peaks; both search a
+    lattice a fixed ``LATTICE_REFINEMENT`` times finer than the Fourier
+    frequencies.
 
     ``noise_for_se`` attaches asymptotic standard errors (robust objective
     only); it supplies the noise density at zero analytically.
@@ -634,7 +629,7 @@ def fit(
     except OverflowError:  # data below about 1e-302: no float amplitude reaches the box
         bound = math.inf
     if init is None:
-        x0 = initial_guess(data, p, grid_refinement, bound).as_vector()
+        x0 = initial_guess(data, p, amplitude_bound=bound).as_vector()
     else:
         x0 = init.as_vector()
         amplitudes = x0.reshape(p, 4)[:, :2]  # a view into x0
@@ -652,9 +647,10 @@ def fit(
 
     result: OptimResult = nelder_mead(objective, x0, bounds, cfg)
     if init is None:
+        # ``result`` by keyword: benchmark/spans.py reads it by that name.
         result = _rescue_missed_components(
-            data, _robustly_preprocessed(data), objective, result, bounds, cfg, grid_refinement,
-            profile,
+            _robustly_preprocessed(data), objective, result=result, bounds=bounds, cfg=cfg,
+            profile=profile,
         )
     if profile is None:
         vec, value = result.best_point.copy(), result.best_value

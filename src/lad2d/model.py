@@ -102,10 +102,6 @@ class ModelParams:
         comps = self.components
         return sorted(range(self.p), key=lambda k: -(comps[k].A ** 2 + comps[k].B ** 2))
 
-    def canonically_ordered(self) -> "ModelParams":
-        """Components in :meth:`canonical_order` (reporting order only)."""
-        return ModelParams(tuple(self.components[k] for k in self.canonical_order()))
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -154,12 +150,6 @@ class SignalField:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-
-    def value_at(self, t: int, s: int) -> float:
-        """Value at 1-based position (t, s)."""
-        if not (1 <= t <= self.grid.T and 1 <= s <= self.grid.S):
-            raise IndexError(f"position ({t}, {s}) outside grid {self.grid.T}x{self.grid.S}")
-        return float(self.values[t - 1, s - 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignalField):

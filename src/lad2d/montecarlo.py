@@ -30,10 +30,6 @@ class ExperimentSpec:
     methods: tuple[str, ...] = ("lad", "lse")
     replications: int = 1000
     base_seed: int = 0
-    #: When True, non-converged least-squares fits are dropped from AE/MSE like
-    #: robust ones.  Off by default: averaging diverged squared-error fits is
-    #: what produces the characteristic breakdown magnitudes.
-    exclude_lse_failures: bool = False
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -93,9 +89,9 @@ def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
 
     Hard failures (no usable estimate) are always excluded and counted; an
     error other than the documented fit failures is also warned about.
-    Non-converged fits are excluded for the robust method, but kept for the
-    least-squares method unless ``spec.exclude_lse_failures`` is set; either
-    way they are counted.
+    Non-converged fits are counted for both methods; they are excluded for
+    the robust method but kept for the least-squares method, because
+    averaging its diverged fits is what shows the breakdown magnitudes.
     """
     truth_vec = spec.truth.as_vector()
     names = parameter_names(spec.truth.p)
@@ -112,7 +108,6 @@ def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
             records = [_fit_one_replication(a) for a in job_args]
 
         for m_idx, method in enumerate(spec.methods):
-            exclude_nonconverged = method == "lad" or spec.exclude_lse_failures
             used: list[np.ndarray] = []
             hard = nonconv = 0
             for rec in records:  # replication-index order keeps reductions deterministic
@@ -122,7 +117,7 @@ def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
                     continue
                 if not converged:
                     nonconv += 1
-                    if exclude_nonconverged:
+                    if method == "lad":
                         continue
                 used.append(np.asarray(vec))
             if used:
@@ -287,7 +282,6 @@ _CONFIG_DEFAULTS = {
     "reps": "1000",
     "seed": "0",
     "methods": "lad,lse",
-    "exclude_lse_failures": "false",
 }
 
 
@@ -296,10 +290,10 @@ def read_experiment_config(text: str) -> ExperimentSpec:
 
     The keys are ``truth.A<k>``, ``truth.B<k>``, ``truth.lambda<k>``,
     ``truth.mu<k>``, ``noise``, ``grids`` (comma list of TxS), ``reps``,
-    ``seed``, ``methods`` (comma list) and ``exclude_lse_failures`` (``true``
-    or ``false``).  Any other key raises ``ValueError`` naming it; there is
-    no simplex setting, because ``fit`` sizes its simplex from p, the grid
-    and the method.  Lines starting with '#' are comments.
+    ``seed`` and ``methods`` (comma list).  Any other key raises
+    ``ValueError`` naming it: ``fit`` sizes its simplex and lattice from p,
+    the grid and the method, and :func:`run_experiment` fixes which
+    non-converged fits count.  Lines starting with '#' are comments.
     """
     entries: dict[str, str] = {}
     for raw in text.splitlines():
@@ -344,9 +338,6 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     grids = parse_grids(simple["grids"])
     if not grids:
         raise ValueError("config must define grids=TxS[,TxS...]")
-    exclude = simple["exclude_lse_failures"].lower()
-    if exclude not in ("true", "false"):
-        raise ValueError(f"exclude_lse_failures must be true or false, got {exclude!r}")
 
     return ExperimentSpec(
         truth=truth,
@@ -355,5 +346,4 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         methods=tuple(m.strip() for m in simple["methods"].split(",") if m.strip()),
         replications=int(simple["reps"]),
         base_seed=int(simple["seed"]),
-        exclude_lse_failures=exclude == "true",
     )

@@ -57,15 +57,11 @@ class NoiseSpec:
             raise ValueError(f"gaussian sigma must be positive and finite, got {self.sigma}")
 
 
-def make_rng(seed: int | np.random.SeedSequence, *stream: int) -> np.random.Generator:
-    """PCG64 generator for a base seed and an optional derived-stream key."""
-    if isinstance(seed, np.random.SeedSequence):
-        if stream:
-            raise ValueError("stream keys only apply to integer seeds")
-        ss = seed
-    else:
-        ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in stream))
-    return np.random.Generator(np.random.PCG64(ss))
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """PCG64 generator for an integer seed or a ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence((int(seed),))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
@@ -177,12 +173,3 @@ def parse_noise_spec(text: str) -> NoiseSpec:
             raise ValueError(f"unsupported noise arguments {args!r} for family {family!r}")
         sigma = float(fields["sigma"])
     return NoiseSpec(family, sigma, contamination)
-
-
-def format_noise_spec(spec: NoiseSpec) -> str:
-    """Inverse of :func:`parse_noise_spec`."""
-    base = f"gaussian:sigma={spec.sigma!r}" if spec.family == "gaussian" else spec.family
-    if spec.contamination is None:
-        return base
-    offset = "auto" if spec.contamination.offset is None else repr(spec.contamination.offset)
-    return f"{base}+outliers:frac={spec.contamination.fraction!r},offset={offset}"

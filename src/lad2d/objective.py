@@ -16,6 +16,11 @@ import numpy as np
 from .model import SignalField, model_grid_values
 
 
+#: Lattice refinement R of the fit's start and rescue: the periodogram lattice
+#: is R times finer than the Fourier frequencies pi j / T, pi k / S.
+LATTICE_REFINEMENT = 2
+
+
 class PeakPickingError(RuntimeError):
     """Raised when the periodogram does not expose enough separated peaks."""
 
@@ -42,7 +47,7 @@ def lse_objective_vec(theta: np.ndarray, data: SignalField) -> float:
 
 
 def periodogram_lattice(
-    data: SignalField, refinement: int = 2
+    data: SignalField, refinement: int = LATTICE_REFINEMENT
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Periodogram on the lattice lam_j = pi j / (R T), mu_k = pi k / (R S).
 
@@ -86,7 +91,7 @@ def _near(lams: np.ndarray, mus: np.ndarray, lam: float, mu: float, separation: 
 
 def peak_candidates(
     data: SignalField,
-    grid_refinement: int = 2,
+    grid_refinement: int = LATTICE_REFINEMENT,
     same_lobe_only: bool = False,
     limit: int | None = None,
     exclude: Sequence[tuple[float, float]] = (),
@@ -138,7 +143,9 @@ def peak_candidates(
     return chosen
 
 
-def pick_peaks(data: SignalField, p: int, grid_refinement: int = 2) -> list[tuple[float, float]]:
+def pick_peaks(
+    data: SignalField, p: int, grid_refinement: int = LATTICE_REFINEMENT
+) -> list[tuple[float, float]]:
     """The p tallest separated periodogram peaks, tallest first."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")

@@ -359,6 +359,6 @@ class TestCriterion8OraclesAndRoundTrips:
 
         field = read_signal_text(out.read_text())
         want = evaluate_model(ONE_COMPONENT, 1, 1)
-        ok = abs(field.value_at(1, 1) - want) < 1e-12
+        ok = abs(field.values[0, 0] - want) < 1e-12
         report("criterion 8 (simulate matches model oracle)", ok)
         assert ok

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import lad2d
 from lad2d import fit, mean_absolute_pixel_error, parse_noise_spec, read_pgm, read_signal_text
 from lad2d.cli import main
 from lad2d.model import Grid
@@ -35,7 +37,7 @@ class TestSimulate:
         )
         assert result.exit_code == 0
         field = read_signal_text(out.read_text())
-        assert field.value_at(1, 1) == pytest.approx(2.474785, abs=2e-6)
+        assert field.values[0, 0] == pytest.approx(2.474785, abs=2e-6)
         assert (field.grid.T, field.grid.S) == (25, 25)
 
     def test_fixed_seed_is_reproducible(self, runner, tmp_path):
@@ -81,6 +83,12 @@ class TestSimulate:
         assert meta["options"]["seed"] == 5
         assert meta["options"]["noise"] == "t1"
         assert meta["options"]["A1"] == 2.4
+        assert meta["environment"] == {
+            "lad2d": lad2d.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        }
 
 
 class TestEstimate:
@@ -120,6 +128,15 @@ class TestEstimate:
         assert result.exit_code == 2
         assert "nope.txt" in result.output
 
+    def test_retired_refinement_flag_exits_2(self, runner, tmp_path):
+        # The fit's lattice refinement is the constant objective.LATTICE_REFINEMENT.
+        sig = self._simulated(runner, tmp_path)
+        result = runner.invoke(main, ["estimate", "--in", str(sig), "--refinement", "3",
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "--refinement" in result.output
+        assert not os.path.exists(tmp_path / "o.csv")
+
     def test_fit_failure_exits_1(self, runner, tmp_path):
         zero = tmp_path / "zero.txt"
         zero.write_text("10 10\n" + "\n".join(" ".join(["0.0"] * 10) for _ in range(10)) + "\n")
@@ -145,8 +162,9 @@ class TestEstimate:
         report = fit(read_signal_text(sig.read_text()), 1,
                      noise_for_se=parse_noise_spec("gaussian:sigma=0.1"))
         fitted = [report.objective_value, report.g0_used]
-        for c, se in zip(report.params_hat.canonically_ordered().components,
-                         report.std_errors.reshape(-1, 4)[report.params_hat.canonical_order()]):
+        order = report.params_hat.canonical_order()
+        for c, se in zip([report.params_hat.components[k] for k in order],
+                         report.std_errors.reshape(-1, 4)[order]):
             fitted += [c.A, c.B, c.lam, c.mu, *se]
         printed = [float(token.split("=")[-1]) for line in result.output.splitlines()
                    for token in line.split(": ")[-1].split()
@@ -220,6 +238,15 @@ class TestPeriodogram:
             main, ["periodogram", "--in", str(zero), "--out", str(tmp_path / "p.csv")]
         )
         assert result.exit_code == 1
+
+    def test_refinement_below_one_exits_2(self, runner, tmp_path):
+        zero = tmp_path / "zero.txt"
+        zero.write_text("12 12\n" + "\n".join(" ".join(["0.0"] * 12) for _ in range(12)) + "\n")
+        result = runner.invoke(main, ["periodogram", "--in", str(zero), "--refinement", "0",
+                                      "--out", str(tmp_path / "p.csv")])
+        assert result.exit_code == 2
+        assert "--refinement" in result.output
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestTexture:
@@ -365,8 +392,7 @@ class TestMetaReplay:
         options = meta["options"]
         stem2 = str(tmp_path / "replay")
         args = ["estimate", "--in", options["in"], "--p", str(options["p"]),
-                "--method", options["method"], "--refinement", str(options["refinement"]),
-                "--out", stem2]
+                "--method", options["method"], "--out", stem2]
         if options["se_noise"]:
             args += ["--se-noise", options["se_noise"]]
         invoke(runner, args)

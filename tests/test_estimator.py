@@ -31,7 +31,7 @@ from lad2d.estimator import (
     report_to_text,
 )
 from lad2d.noise import density_at_zero, noisy_observation, parse_noise_spec
-from lad2d.objective import lad_objective_vec, lse_objective_vec, peak_candidates
+from lad2d.objective import LATTICE_REFINEMENT, lad_objective_vec, lse_objective_vec, peak_candidates
 from lad2d.optimizer import OptimResult, SimplexConfig, nelder_mead
 from lad2d.theory import periodogram
 
@@ -418,10 +418,16 @@ class TestInitialGuess:
         with pytest.raises(ValueError, match="amplitude_bound must be positive"):
             initial_guess(data, 1, amplitude_bound=bound)
 
+    def test_amplitude_bound_is_keyword_only(self, one_component_truth):
+        # A stray positional R must not become an amplitude bound.
+        data = synthesize_signal(one_component_truth, Grid(16, 16))
+        with pytest.raises(TypeError):
+            initial_guess(data, 1, 2)
 
-def nelder_mead_refinement(field, lam, mu, grid_refinement):
+
+def nelder_mead_refinement(field, lam, mu):
     """The former peak refinement: a 2-D Nelder-Mead on the periodogram."""
-    half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
+    half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
     cfg = SimplexConfig(
         max_iterations=200, x_tolerance=1e-8, f_tolerance=1e-14,
         initial_step=half_cell, restarts=0,
@@ -460,8 +466,8 @@ class TestRefinePeakFrequency:
         field, isolated = case
         peaks = peak_candidates(field, 2, same_lobe_only=True, limit=3)
         for rank, (lam, mu, _) in enumerate(peaks):
-            got = estimator._refine_peak_frequency(field, lam, mu, 2)
-            old = nelder_mead_refinement(field, lam, mu, 2)
+            got = estimator._refine_peak_frequency(field, lam, mu)
+            old = nelder_mead_refinement(field, lam, mu)
             assert all(0.0 <= v <= np.pi for v in got)
             value = periodogram(field, *got)
             assert value >= periodogram(field, lam, mu)
@@ -479,8 +485,8 @@ class TestRefinePeakFrequency:
         truth = ModelParams((ComponentParams(2.0, 1.0, 1.3, 0.0),))
         data = noisy_observation(truth, Grid(20, 20), NoiseSpec("gaussian", 1.0), 37)
         lam, mu, _ = peak_candidates(data, 2, same_lobe_only=True, limit=1)[0]
-        got = estimator._refine_peak_frequency(data, lam, mu, 2)
-        old = nelder_mead_refinement(data, lam, mu, 2)
+        got = estimator._refine_peak_frequency(data, lam, mu)
+        old = nelder_mead_refinement(data, lam, mu)
         assert mu == 0.0 and got[1] == 0.0
         assert max(abs(got[0] - old[0]), abs(got[1] - old[1])) < 1e-7
 
@@ -490,8 +496,8 @@ class TestRefinePeakFrequency:
         lam, mu = np.pi * 16 / 40, np.pi * 44 / 44
         assert (lam, mu) in [c[:2] for c in peak_candidates(field, 2, same_lobe_only=True, limit=8)]
         assert mu < np.pi
-        got = estimator._refine_peak_frequency(field, lam, mu, 2)
-        old = nelder_mead_refinement(field, lam, mu, 2)
+        got = estimator._refine_peak_frequency(field, lam, mu)
+        old = nelder_mead_refinement(field, lam, mu)
         assert periodogram(field, *got) >= periodogram(field, *old) * (1.0 - 1e-12)
         assert max(abs(got[0] - old[0]), abs(got[1] - old[1])) < 1e-7
 
@@ -503,8 +509,8 @@ class TestRefinePeakFrequency:
         data = noisy_observation(truth, Grid(10, 8), NoiseSpec("gaussian", 0.3), 1)
         corner = (0.0, np.pi)
         assert corner in [c[:2] for c in peak_candidates(data, 2, same_lobe_only=True, limit=8)]
-        got = estimator._refine_peak_frequency(data, *corner, 2)
-        old = nelder_mead_refinement(data, *corner, 2)
+        got = estimator._refine_peak_frequency(data, *corner)
+        old = nelder_mead_refinement(data, *corner)
         assert periodogram(data, *got) > periodogram(data, *corner)
         assert periodogram(data, *got) >= periodogram(data, *old) * (1.0 - 1e-12)
 
@@ -514,7 +520,7 @@ class TestRefinePeakFrequency:
         field = SignalField(Grid(9, 12), np.full((9, 12), fill))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = estimator._refine_peak_frequency(field, *start, 2)
+            got = estimator._refine_peak_frequency(field, *start)
         assert all(0.0 <= v <= np.pi for v in got)
         if fill == 0.0:
             assert got == start
@@ -523,16 +529,16 @@ class TestRefinePeakFrequency:
     def test_extreme_scales_refine_like_unit_scale(self, one_component_truth, scale):
         data = noisy_observation(one_component_truth, Grid(16, 16), NoiseSpec("gaussian", 0.1), 2)
         lam, mu, _ = peak_candidates(data, 2, limit=1)[0]
-        unit = estimator._refine_peak_frequency(data, lam, mu, 2)
+        unit = estimator._refine_peak_frequency(data, lam, mu)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = estimator._refine_peak_frequency(
-                SignalField(data.grid, data.values * scale), lam, mu, 2
+                SignalField(data.grid, data.values * scale), lam, mu
             )
         np.testing.assert_allclose(got, unit, atol=1e-9)
 
 
-def reference_refine_peak_frequency(field, lam, mu, grid_refinement):
+def reference_refine_peak_frequency(field, lam, mu):
     """The former peak refinement loop, with 2x2 numpy bookkeeping."""
     tolerance = estimator.REFINE_X_TOLERANCE
     start = np.clip(np.array([lam, mu], dtype=float), 0.0, np.pi)
@@ -542,7 +548,7 @@ def reference_refine_peak_frequency(field, lam, mu, grid_refinement):
     y = field.values / scale
     t, s = field.grid.t_values(), field.grid.s_values()
     tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
-    half_cell = np.pi / (2.0 * grid_refinement * min(field.grid.T, field.grid.S))
+    half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
 
     x = start
     value, grad, hess = estimator._periodogram_derivatives(y, tp, sp, x)
@@ -620,8 +626,8 @@ class TestRefinementMatchesNumpyLoop:
     def test_same_float_bytes(self, case):
         field, starts = case
         for lam, mu in starts:
-            got = estimator._refine_peak_frequency(field, lam, mu, 2)
-            want = reference_refine_peak_frequency(field, lam, mu, 2)
+            got = estimator._refine_peak_frequency(field, lam, mu)
+            want = reference_refine_peak_frequency(field, lam, mu)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (lam, mu, got, want)
 
 
@@ -653,7 +659,7 @@ def joint_lse_fit(data, p):
     objective = lambda th: lse_objective_vec(th, data)
     result = nelder_mead(objective, initial_guess(data, p).as_vector(), bounds, cfg)
     return estimator._rescue_missed_components(
-        data, estimator._robustly_preprocessed(data), objective, result, bounds, cfg, 2
+        estimator._robustly_preprocessed(data), objective, result=result, bounds=bounds, cfg=cfg
     )
 
 

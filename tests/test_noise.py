@@ -16,7 +16,7 @@ from lad2d import (
     sample_noise,
     synthesize_signal,
 )
-from lad2d.noise import format_noise_spec, make_rng, replication_seed
+from lad2d.noise import make_rng, replication_seed
 
 MILLION = Grid(1000, 1000)
 
@@ -166,16 +166,19 @@ class TestSpecText:
             parse_noise_spec(text)
 
     @pytest.mark.parametrize(
-        "spec",
+        "text,spec",
         [
-            NoiseSpec("gaussian", 0.1),
-            NoiseSpec("t1"),
-            NoiseSpec("slash", contamination=Contamination(0.2, None)),
-            NoiseSpec("gaussian", 3.0, Contamination(0.25, 55.0)),
+            ("gaussian:sigma=0.1", NoiseSpec("gaussian", 0.1)),
+            ("t1", NoiseSpec("t1")),
+            ("slash+outliers:frac=0.2,offset=auto",
+             NoiseSpec("slash", contamination=Contamination(0.2, None))),
+            ("gaussian:sigma=3.0+outliers:frac=0.25,offset=55.0",
+             NoiseSpec("gaussian", 3.0, Contamination(0.25, 55.0))),
         ],
+        ids=["gaussian", "t1", "slash+outliers-auto", "gaussian+outliers"],
     )
-    def test_format_round_trip(self, spec):
-        assert parse_noise_spec(format_noise_spec(spec)) == spec
+    def test_text_gives_spec(self, text, spec):
+        assert parse_noise_spec(text) == spec
 
     def test_invalid_family_rejected(self):
         with pytest.raises(ValueError):

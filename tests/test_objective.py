@@ -38,7 +38,7 @@ def naive_mean_abs_residual(params: ModelParams, data: SignalField) -> float:
     total = 0.0
     for t in range(1, data.grid.T + 1):
         for s in range(1, data.grid.S + 1):
-            total += abs(data.value_at(t, s) - evaluate_model(params, t, s))
+            total += abs(data.values[t - 1, s - 1] - evaluate_model(params, t, s))
     return total / data.grid.n
 
 
@@ -46,7 +46,7 @@ def naive_mean_sq_residual(params: ModelParams, data: SignalField) -> float:
     total = 0.0
     for t in range(1, data.grid.T + 1):
         for s in range(1, data.grid.S + 1):
-            total += (data.value_at(t, s) - evaluate_model(params, t, s)) ** 2
+            total += (data.values[t - 1, s - 1] - evaluate_model(params, t, s)) ** 2
     return total / data.grid.n
 
 
@@ -54,7 +54,7 @@ def naive_periodogram(data: SignalField, lam: float, mu: float) -> float:
     z = 0.0 + 0.0j
     for t in range(1, data.grid.T + 1):
         for s in range(1, data.grid.S + 1):
-            z += data.value_at(t, s) * cmath.exp(-1j * (lam * t + mu * s))
+            z += data.values[t - 1, s - 1] * cmath.exp(-1j * (lam * t + mu * s))
     return abs(z) ** 2 / data.grid.n
 
 
