@@ -1,12 +1,15 @@
 """End-to-end parameter estimation and asymptotic variances.
 
 The pipeline: locate frequencies from periodogram peaks, fit amplitudes by
-linear least squares at those frequencies, then refine with Nelder-Mead on
-the chosen objective: all 4p parameters jointly for absolute residuals, the
-2p frequencies alone for squared residuals, whose amplitudes are solved at
-every step.  Asymptotic variances for the robust estimator come from a
-block-diagonal information-style matrix: each component contributes a 4x4
-block determined by its amplitudes, and the estimator's covariance is
+linear least squares at those frequencies, then refine on the chosen
+objective.  Absolute residuals are minimized by Nelder-Mead over all 4p
+parameters jointly.  Squared residuals, with the amplitudes solved out at
+every point, are a smooth function of the 2p frequencies alone, minimized
+by projected Newton steps on its analytic gradient and Hessian.
+
+Asymptotic variances for the robust estimator come from a block-diagonal
+information-style matrix: each component contributes a 4x4 block
+determined by its amplitudes, and the estimator's covariance is
 1/(4 g(0)^2) times the block inverse, divided by the convergence rates
 (sqrt(TS) for amplitudes, T^{3/2} S^{1/2} and S^{3/2} T^{1/2} for the two
 frequencies).
@@ -185,8 +188,11 @@ def _normal_equations(
     return gram.reshape(2 * p, 2 * p), (_ANGLE_ADDITION.reshape(2, 4) @ cross.reshape(4, p)).ravel()
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Rank-revealing solve: (coefficients, rhs . coefficients, well conditioned).
+def _solve_normal_equations(
+    gram: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, float, bool, np.ndarray]:
+    """Rank-revealing solve: (coefficients, rhs . coefficients, well
+    conditioned, R), where R R' is the pseudo-inverse the solve applies.
 
     The explained sum of squares rhs . coefficients is a sum of positive
     terms here, so it carries no cancellation of its own.
@@ -197,7 +203,7 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarr
         keep = w > RANK_RTOL * w[-1]
         w, v, proj = w[keep], v[:, keep], proj[keep]
     scaled = proj / w
-    return v @ scaled, float(proj @ scaled), bool(w[0] > PROFILE_RTOL * w[-1])
+    return v @ scaled, float(proj @ scaled), bool(w[0] > PROFILE_RTOL * w[-1]), v / np.sqrt(w)
 
 
 def _interleaved(coef: np.ndarray) -> np.ndarray:
@@ -216,19 +222,33 @@ def _amplitudes_given_frequencies(
     return _interleaved(_solve_normal_equations(gram, rhs)[0])
 
 
+#: A projected Newton search (the peak refinement, the profiled least-squares
+#: descent) stops once a step moves no coordinate by more than this, or after
+#: this many steps.
+REFINE_X_TOLERANCE = 1e-12
+REFINE_MAX_STEPS = 100
+#: The profiled descent halves a step at most this many times; a step that
+#: still raises the profile ends the descent.
+PROFILE_MAX_HALVINGS = 12
+
+#: Index (a, b) of the weight t^a s^b that two frequency coordinates of one
+#: component put on their second derivative: lam lam -> t^2, lam mu -> t s,
+#: mu mu -> s^2 (rows and columns: lam, mu).
+_SECOND_ORDER = (np.array([[2, 1], [1, 0]]), np.array([[0, 1], [1, 2]]))
+
+
 class _LeastSquaresProfile:
     """The least-squares objective with the amplitudes solved out (variable
     projection, Golub & Pereyra 1973): a function of the 2p frequencies
-    (lam_1, mu_1, ..., lam_p, mu_p) alone, in units of the data's mean
-    square.  ``fit`` already scales the data to a robust scale in [1, 2),
-    but on the 24 p=2 50x50 t1 fields of seeds 0-23 the simplex ran 30%
-    more iterations (13-53% per field) in those units than in these.
+    (lam_1, mu_1, ..., lam_p, mu_p) alone.
 
     At a well-conditioned Gram matrix the objective is (||y||^2 - b'c) / TS,
     with b the right-hand side and c the solved amplitudes.  Where the
     amplitudes leave the box, or the Gram matrix is ill-conditioned, it is
     the direct objective at the amplitudes :meth:`vector` returns (clipped
-    to the box).
+    to the box).  :meth:`derivatives` adds the gradient and Hessian of the
+    unclipped profile, and :meth:`minimize` runs a projected Newton descent
+    on them.
     """
 
     def __init__(self, data: SignalField, amplitude_bound: float) -> None:
@@ -236,9 +256,11 @@ class _LeastSquaresProfile:
         self.amplitude_bound = amplitude_bound
         self.t, self.s = data.grid.t_values(), data.grid.s_values()
         self.sum_squares = float(np.vdot(data.values, data.values))
-        self.mean_square = self.sum_squares / data.grid.n or 1.0
+        # Rows (1, t, t^2) and (1, s, s^2), as in _refine_peak_frequency.
+        self.tp = np.stack([np.ones_like(self.t), self.t, self.t * self.t])
+        self.sp = np.stack([np.ones_like(self.s), self.s, self.s * self.s])
 
-    def _solve(self, freqs: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    def _solve(self, freqs: np.ndarray) -> tuple[np.ndarray, float, bool, np.ndarray]:
         gram, rhs = _normal_equations(self.data.values, self.t, self.s, freqs[0::2], freqs[1::2])
         return _solve_normal_equations(gram, rhs)
 
@@ -246,18 +268,144 @@ class _LeastSquaresProfile:
         coef = np.clip(_interleaved(coef), -self.amplitude_bound, self.amplitude_bound)
         return _pack(coef, np.reshape(freqs, (-1, 2)))
 
-    def __call__(self, freqs: np.ndarray) -> float:
-        coef, explained, conditioned = self._solve(freqs)
+    def _value(self, coef: np.ndarray, explained: float, conditioned: bool, freqs: np.ndarray) -> float:
         if conditioned and np.abs(coef).max() <= self.amplitude_bound:
-            objective = (self.sum_squares - explained) / self.data.grid.n
-        else:
-            objective = lse_objective_vec(self._vector(coef, freqs), self.data)
-        return objective / self.mean_square
+            return (self.sum_squares - explained) / self.data.grid.n
+        return lse_objective_vec(self._vector(coef, freqs), self.data)
+
+    def __call__(self, freqs: np.ndarray) -> float:
+        return self._value(*self._solve(freqs)[:3], freqs)
 
     def vector(self, freqs: np.ndarray) -> np.ndarray:
         """Full (A1, B1, lam1, mu1, ...) vector at ``freqs``, amplitudes solved
         and clipped to the box."""
         return self._vector(self._solve(freqs)[0], freqs)
+
+    def derivatives(self, freqs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The value at ``freqs`` (as :meth:`__call__` gives it), and the
+        gradient and Hessian of the profile there.
+
+        With Phi the cos and sin columns, r = y - Phi c, Phi_i = dPhi/dw_i,
+        d_i = Phi_i c, w_i = Phi_i' r - Phi' d_i and G^+ the Gram matrix's
+        pseudo-inverse (the amplitude solve's rank rule):
+
+            g_i  = -(2/n) r'd_i
+            H_ij =  (2/n) (d_i'd_j - r'(Phi_ij c) - w_i' G^+ w_j),
+
+        where Phi_ij c is nonzero only for two coordinates of one component,
+        and there equals -t^a s^b (A cos + B sin) of that component.  Every
+        term is a real part of a sum of t^a s^b e^{-i theta} (theta = lam t +
+        mu s) times complex amplitudes a = A + iB, so it comes from per-axis
+        sums: residual moments Z[a, b, k] = sum r t^a s^b e^{-i theta_k},
+        with the y part from one ``rows @ y @ cols.T``, and the pair sums
+        Q[a, b, j, +-, k] = sum t^a s^b e^{-i (theta_j +- theta_k)}.  Nothing
+        of size TS x 2p is built.
+        """
+        coef, explained, conditioned, root = self._solve(freqs)
+        value = self._value(coef, explained, conditioned, freqs)
+        p, n = freqs.size // 2, self.data.grid.n
+        amp = coef[:p] + 1j * coef[p:]  # a_k = A_k + i B_k
+        rows = self.tp[:, None, :] * np.exp(-1j * np.multiply.outer(freqs[0::2], self.t))
+        cols = self.sp[:, None, :] * np.exp(-1j * np.multiply.outer(freqs[1::2], self.s))
+        flat = rows.reshape(3 * p, -1)  # rows [a, k, t] as (a, k) x t
+        # Per-axis sums of t^a e^{-i (lam_j +- lam_k) t}, indexed [a, j, +-, k].
+        pt = (flat @ np.concatenate([rows[0], rows[0].conj()]).T).reshape(3, p, 2, p)
+        ps = (cols.reshape(3 * p, -1) @ np.concatenate([cols[0], cols[0].conj()]).T).reshape(3, p, 2, p)
+        pair = pt[:, None] * ps[None, :]  # [a, b, j, +-, k]
+        # Moments of y (real, so its product is taken in two real halves) and
+        # of the fitted surface sum_j Re(a_j e^{-i theta_j}).
+        left = (flat.real @ self.data.values + 1j * (flat.imag @ self.data.values)).reshape(3, p, -1)
+        y_moments = np.einsum("aks,bks->abk", left, cols)
+        fitted = np.einsum("j,abjxk->abxk", amp, pair)
+        z = y_moments - 0.5 * (fitted[:, :, 0] + fitted[:, :, 1].conj())  # [a, b, k]
+        gamma = -1j * amp  # d_i = t^a s^b Re(gamma_k e^{-i theta_k}) with (a, b) = (1, 0) or (0, 1)
+        first = np.stack([z[1, 0], z[0, 1]], axis=1)  # [k, lam or mu]
+        grad = -(2.0 / n) * (gamma[:, None] * first).real.ravel()
+
+        second = pair[_SECOND_ORDER]  # [i axis, j axis, k, +-, l]
+        dd = 0.5 * (
+            np.multiply.outer(gamma, gamma) * second[:, :, :, 0]
+            + np.multiply.outer(gamma, gamma.conj()) * second[:, :, :, 1]
+        ).real.transpose(2, 0, 3, 1)  # [k, i axis, l, j axis]
+        curvature = (amp * z[_SECOND_ORDER]).real.transpose(2, 0, 1)  # -r'(Phi_ij c), [k, i, j]
+        # w_i over the amplitudes (A_1..A_p, B_1..B_p): Phi_i' r minus Phi' d_i.
+        one = np.stack([pair[1, 0], pair[0, 1]])  # [axis, l, +-, k]
+        across = 0.5 * (gamma * one[:, :, 0] + gamma.conj() * one[:, :, 1])  # [axis, l, k]
+        w = np.concatenate([-across.real, across.imag], axis=1).transpose(2, 0, 1)  # [k, axis, amp]
+        diagonal = np.arange(p)
+        w[diagonal, :, diagonal] += first.imag
+        w[diagonal, :, diagonal + p] += first.real
+        projected = w.reshape(2 * p, 2 * p) @ root
+        hess = dd.reshape(2 * p, 2 * p) - projected @ projected.T
+        blocks = hess.reshape(p, 2, p, 2)
+        blocks[diagonal, :, diagonal, :] += curvature
+        return value, grad, (2.0 / n) * hess
+
+    def minimize(self, start: np.ndarray) -> OptimResult:
+        """Projected Newton descent on the profile from ``start`` in [0, pi]^2p.
+
+        The rules of :func:`_refine_peak_frequency`, turned for a minimum:
+        each step is a Newton step where the Hessian of the free coordinates
+        is positive definite, else a gradient step half a lattice cell long.
+        A coordinate within ``REFINE_X_TOLERANCE`` of a bound whose gradient
+        points out of the box stays fixed for that step.  The step is clipped
+        into the box and halved, at most ``PROFILE_MAX_HALVINGS`` times,
+        until the profile does not rise.  The descent stops when a step moves
+        no coordinate by more than ``REFINE_X_TOLERANCE``, at a stationary
+        point, when the halvings run out, or after ``REFINE_MAX_STEPS`` steps;
+        only the last is reported as not converged.  ``iterations`` counts
+        the steps taken and ``evaluations`` the points whose derivatives were
+        taken.
+
+        One rule is new: a Newton step is shortened to half a main lobe
+        (pi / min(T, S)) at most.  Under heavy-tailed noise the profile has
+        many minima; on 100 p=2 50x50 t1 fields the unshortened step ended in
+        a higher one than the former simplex on 7, the shortened one on 1.
+        """
+        tolerance, near_pi = REFINE_X_TOLERANCE, np.pi - REFINE_X_TOLERANCE
+        half_lobe = np.pi / min(self.data.grid.T, self.data.grid.S)
+        half_cell = half_lobe / (2.0 * LATTICE_REFINEMENT)
+        x = np.clip(np.asarray(start, dtype=float), 0.0, np.pi)
+        value, grad, hess = self.derivatives(x)
+        evaluations, termination = 1, "maxiter"
+        for iterations in range(REFINE_MAX_STEPS):
+            free = ~(((x <= tolerance) & (grad > 0.0)) | ((x >= near_pi) & (grad < 0.0)))
+            g = grad[free]
+            if not np.any(g != 0.0):
+                termination = "stationary"
+                break
+            curvature, vectors = np.linalg.eigh(hess[np.ix_(free, free)])
+            step = np.zeros_like(x)
+            if curvature[0] > 0.0:
+                step[free] = -(vectors @ ((g @ vectors) / curvature))
+                step *= min(1.0, half_lobe / np.abs(step).max())
+            else:
+                step[free] = g * (-half_cell / np.abs(g).max())
+            for _ in range(PROFILE_MAX_HALVINGS + 1):
+                trial = np.clip(x + step, 0.0, np.pi)
+                if np.abs(trial - x).max() <= tolerance:
+                    termination = "xtol"
+                    break
+                evaluations += 1
+                trial_value, trial_grad, trial_hess = self.derivatives(trial)
+                if trial_value <= value:  # False for NaN, which halves the step
+                    break
+                step /= 2.0
+            else:
+                termination = "stalled"
+            if termination != "maxiter":
+                break
+            x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+        else:
+            iterations = REFINE_MAX_STEPS
+        return OptimResult(
+            best_point=x,
+            best_value=value,
+            iterations=iterations,
+            converged=termination != "maxiter",
+            termination=termination,
+            evaluations=evaluations,
+        )
 
 
 #: Winsorization width (in robust MADs around the median) applied to the data
@@ -284,12 +432,6 @@ def _robustly_preprocessed(data: SignalField) -> SignalField:
         centered = np.clip(centered, -WINSOR_MADS * mad, WINSOR_MADS * mad)
     centered = centered - centered.mean()
     return SignalField(data.grid, centered)
-
-
-#: Peak refinement stops once a projected step moves no coordinate by more
-#: than this, or after this many steps.
-REFINE_X_TOLERANCE = 1e-12
-REFINE_MAX_STEPS = 100
 
 
 def _periodogram_derivatives(
@@ -446,17 +588,14 @@ def initial_guess(
     return ModelParams.from_vector(_pack(coef, freqs), amplitude_bound)
 
 
-def default_fit_config(p: int, grid: Grid, method: str = "lad") -> SimplexConfig:
-    """The simplex ``fit`` runs for p components on ``grid`` by ``method``.
+def default_fit_config(p: int, grid: Grid) -> SimplexConfig:
+    """The simplex a LAD ``fit`` runs for p components on ``grid``.
 
     Steps are sized to the problem: 0.1 on amplitudes, which ``fit`` sees
     at a robust scale in [1, 2), and half a lattice cell on frequencies (the
-    frequency objective has an O(1/T) wide basin).  LAD searches all n = 4p
+    frequency objective has an O(1/T) wide basin).  It searches all n = 4p
     parameters with Gao and Han's dimension-adaptive coefficients
-    (``adaptive_coefficients(4p)``) and no restart.  LSE searches the 2p
-    frequencies with the textbook coefficients (1, 2, 1/2, 1/2) and one
-    restart: there the adaptive ones, with or without the restart, ended
-    above it in 11 of 12 seeds at p=2 50x50 t1 (by at most 9e-13 relative).
+    (``adaptive_coefficients(4p)``) and no restart.
 
     The LAD simplex from ``initial_guess`` on the fields of the test
     ``TestAdaptiveSimplexQuality``, seeds 0-11 per shape, scaled by 2^-k as
@@ -489,11 +628,7 @@ def default_fit_config(p: int, grid: Grid, method: str = "lad") -> SimplexConfig
     the textbook simplex with its restart and ends 6-12 times closer to the
     reference.  A restart would close the gap further at 77-86% more cost.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     freq_step = 0.5 / min(grid.T, grid.S)
-    if method == "lse":
-        return SimplexConfig(initial_step=[freq_step, freq_step] * p)
     return SimplexConfig(
         initial_step=[0.1, 0.1, freq_step, freq_step] * p,
         restarts=0,
@@ -506,7 +641,7 @@ def _rescue_missed_components(
     objective,
     result: OptimResult,
     bounds,
-    cfg: SimplexConfig,
+    cfg: SimplexConfig | None,
     profile: _LeastSquaresProfile | None = None,
 ) -> OptimResult:
     """Swap a fitted component for a peak left in the residual, if that helps.
@@ -521,9 +656,10 @@ def _rescue_missed_components(
     so healthy fits pay only a handful of objective evaluations.
 
     The residual is taken from ``clipped``, the preprocessed data.  Without
-    ``profile`` a simplex point is the full (A1, B1, lam1, mu1, ...) vector
-    and a start's amplitudes are refit on ``clipped``; with it a point holds
-    the frequencies alone and ``profile`` solves the amplitudes.
+    ``profile`` a point is the full (A1, B1, lam1, mu1, ...) vector, a
+    start's amplitudes are refit on ``clipped`` and the re-optimization is
+    the simplex ``cfg``; with it a point holds the frequencies alone,
+    ``profile`` solves the amplitudes and its Newton descent re-optimizes.
     """
     t, s = clipped.grid.t_values(), clipped.grid.s_values()
     lo = np.array([b[0] for b in bounds])
@@ -549,7 +685,10 @@ def _rescue_missed_components(
                 trial = np.ravel(new_freqs)
             if objective(trial) >= best.best_value:
                 continue
-            retry = nelder_mead(objective, trial, bounds, cfg)
+            if profile is None:
+                retry = nelder_mead(objective, trial, bounds, cfg)
+            else:
+                retry = profile.minimize(trial)
             retry.iterations += best.iterations
             retry.evaluations += best.evaluations
             if retry.best_value < best.best_value:
@@ -594,13 +733,16 @@ def fit(
     largest float raises ``FitError``.
 
     LAD runs Nelder-Mead over all 4p parameters with dimension-adaptive
-    coefficients and no restart.  LSE profiles the amplitudes out: at fixed
-    frequencies they solve a 2p x 2p linear system, so its simplex runs over
-    the 2p frequencies alone, with the textbook coefficients and one restart,
-    on the objective in units of the data's mean square; its iteration count
-    counts that simplex, and its amplitudes come from the solve, clipped to
-    ``amplitude_bound``.  Both simplexes are ``default_fit_config(p, grid,
-    method)``.  ``amplitude_bound`` must be positive (``math.inf`` lifts the
+    coefficients and no restart (``default_fit_config(p, grid)``); its
+    iteration count counts simplex iterations.  LSE profiles the amplitudes
+    out: at fixed frequencies they solve a 2p x 2p linear system, so it
+    minimizes a smooth function of the 2p frequencies alone, by projected
+    Newton steps on its analytic gradient and Hessian
+    (:meth:`_LeastSquaresProfile.minimize`); its iteration count counts
+    Newton steps, and its amplitudes come from the solve, clipped to
+    ``amplitude_bound``.  Either count includes the rescue pass's successful
+    re-run, and a run that reaches its iteration cap is reported as not
+    converged.  ``amplitude_bound`` must be positive (``math.inf`` lifts the
     box).  Without ``init`` the start comes from :func:`initial_guess`, and a
     rescue pass then tries the residual's periodogram peaks; both search a
     lattice a fixed ``LATTICE_REFINEMENT`` times finer than the Fourier
@@ -634,18 +776,16 @@ def fit(
         x0 = init.as_vector()
         amplitudes = x0.reshape(p, 4)[:, :2]  # a view into x0
         np.clip(np.ldexp(amplitudes, -k), -bound, bound, out=amplitudes)
-    cfg = default_fit_config(p, data.grid, method)
     if method == "lad":
-        profile = None
+        profile, cfg = None, default_fit_config(p, data.grid)
         bounds = [(-bound, bound), (-bound, bound), (0.0, np.pi), (0.0, np.pi)] * p
         objective = lambda th: lad_objective_vec(th, data)
+        result: OptimResult = nelder_mead(objective, x0, bounds, cfg)
     else:
-        profile = _LeastSquaresProfile(data, bound)
-        x0 = x0.reshape(p, 4)[:, 2:].ravel()
+        profile, cfg = _LeastSquaresProfile(data, bound), None
         bounds = [(0.0, np.pi)] * (2 * p)
         objective = profile
-
-    result: OptimResult = nelder_mead(objective, x0, bounds, cfg)
+        result = profile.minimize(x0.reshape(p, 4)[:, 2:].ravel())
     if init is None:
         # ``result`` by keyword: benchmark/spans.py reads it by that name.
         result = _rescue_missed_components(

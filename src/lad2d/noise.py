@@ -147,13 +147,29 @@ def noisy_observation(
     return observed
 
 
+def _key_values(text: str, allowed: tuple[str, ...], clause: str) -> dict[str, str]:
+    """The ``key=value`` items of a comma list; an item without ``=``, a key
+    outside ``allowed`` or a repeated key raises a ``ValueError`` naming it."""
+    fields: dict[str, str] = {}
+    for item in filter(None, text.split(",")):
+        key, equals, value = item.partition("=")
+        if not equals:
+            raise ValueError(f"{clause} item {key!r} is not key=value")
+        if key not in allowed:
+            raise ValueError(f"unknown {clause} key {key!r}; expected one of {list(allowed)}")
+        if key in fields:
+            raise ValueError(f"repeated {clause} key {key!r}")
+        fields[key] = value
+    return fields
+
+
 def parse_noise_spec(text: str) -> NoiseSpec:
     """Parse the textual form, e.g. ``gaussian:sigma=0.1+outliers:frac=0.2,offset=auto``."""
     text = text.strip()
     contamination = None
     if "+outliers:" in text:
         base, _, tail = text.partition("+outliers:")
-        fields = dict(item.split("=", 1) for item in tail.split(",") if item)
+        fields = _key_values(tail, ("frac", "offset"), "outlier")
         if "frac" not in fields:
             raise ValueError(f"outlier clause needs frac=, got {tail!r}")
         offset_text = fields.get("offset", "auto")
@@ -167,9 +183,7 @@ def parse_noise_spec(text: str) -> NoiseSpec:
         raise ValueError(f"unknown noise family {family!r}; expected one of {FAMILIES}")
     sigma = 1.0
     if args:
-        fields = dict(item.split("=", 1) for item in args.split(",") if item)
-        unknown = set(fields) - {"sigma"}
-        if unknown or family != "gaussian":
+        if family != "gaussian":
             raise ValueError(f"unsupported noise arguments {args!r} for family {family!r}")
-        sigma = float(fields["sigma"])
+        sigma = float(_key_values(args, ("sigma",), "noise").get("sigma", sigma))
     return NoiseSpec(family, sigma, contamination)

@@ -6,7 +6,10 @@ simplex at the incumbent to shake off the stagnation Nelder-Mead is prone to
 on kinked surfaces.  ``SimplexConfig`` defaults to the textbook coefficients
 (1, 2, 1/2, 1/2) with one restart; ``adaptive_coefficients`` gives Gao and
 Han's dimension-scaled ones, which the 4p-dimensional LAD fit uses with no
-restart (see ``estimator.default_fit_config``).
+restart (see ``estimator.default_fit_config``).  The LAD fit is the only
+caller in the package: the smooth least-squares fit runs projected Newton
+steps instead (``estimator._LeastSquaresProfile.minimize``), which also
+report an ``OptimResult``.
 
 The vertices are kept best first, as lists of Python floats.  Ties are broken
 stably (Lagarias et al. 1998): a vertex that replaces the worst one is
@@ -36,9 +39,8 @@ Bounds = Sequence[tuple[float, float]] | None
 @dataclass
 class SimplexConfig:
     """Tuning knobs.  The defaults are the textbook coefficients with one
-    restart, which the 2p-dimensional LSE frequency search uses; the LAD fit
-    replaces the coefficients with ``adaptive_coefficients(4p)`` and the
-    restart count with 0.
+    restart; the LAD fit replaces the coefficients with
+    ``adaptive_coefficients(4p)`` and the restart count with 0.
 
     ``max_iterations`` of None resolves to 2000 x dimension at run time.
     ``initial_step`` may be a scalar or one step per coordinate.
@@ -92,7 +94,7 @@ class OptimResult:
     best_value: float
     iterations: int
     converged: bool
-    termination: str  # "xtol" | "ftol" | "maxiter"
+    termination: str  # "xtol" | "ftol" | "maxiter"; Newton also "stationary" | "stalled"
     evaluations: int  # objective calls, the initial point included
 
 

@@ -57,6 +57,17 @@ class TestSimulate:
         b = read_signal_text(dirty.read_text()).values
         assert np.sum(a != b) == 20
 
+    def test_misspelt_outlier_key_exits_2(self, runner, tmp_path):
+        out = tmp_path / "x.txt"
+        result = runner.invoke(
+            main,
+            ["simulate", *MODEL4, "--T", "10", "--S", "10",
+             "--noise", "t1+outliers:frac=0.2,offst=3", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "offst" in result.output
+        assert not out.exists()
+
     def test_unknown_flag_rejected(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -663,6 +663,49 @@ def joint_lse_fit(data, p):
     )
 
 
+ONE_COMPONENT = ModelParams((ComponentParams(2.4, 1.4, 0.4, 0.6),))
+TWO_COMPONENTS = ModelParams(
+    (ComponentParams(4.2, 3.6, 1.1, 1.9), ComponentParams(3.3, 2.7, 0.24, 0.36))
+)
+THREE_COMPONENTS = ModelParams(
+    TWO_COMPONENTS.components + (ComponentParams(2.5, -1.8, 2.3, 0.8),)
+)
+
+
+class SimplexProfile(estimator._LeastSquaresProfile):
+    """The profile in units of the data's mean square, minimized by the
+    textbook simplex (1, 2, 1/2, 1/2) with one restart and half-lattice-cell
+    steps, as the LSE fit did before its Newton descent."""
+
+    def __init__(self, data, amplitude_bound):
+        super().__init__(data, amplitude_bound)
+        self.mean_square = self.sum_squares / data.grid.n or 1.0
+
+    def __call__(self, freqs):
+        return super().__call__(freqs) / self.mean_square
+
+    def minimize(self, start):
+        step = 0.5 / min(self.data.grid.T, self.data.grid.S)
+        cfg = SimplexConfig(initial_step=[step] * len(start))
+        return nelder_mead(self, start, [(0.0, np.pi)] * len(start), cfg)
+
+
+def profiled_simplex_fit(data, p):
+    """The former LSE fit: the profiled simplex over the 2p frequencies on
+    the data times 2^-k, then the rescue pass with that simplex; returns
+    the objective at the data's scale."""
+    k = estimator._scale_exponent(data.values)
+    scaled = SignalField(data.grid, np.ldexp(data.values, -k))
+    bound = math.ldexp(1e6, -k)
+    profile = SimplexProfile(scaled, bound)
+    start = initial_guess(scaled, p, amplitude_bound=bound).as_vector().reshape(p, 4)[:, 2:].ravel()
+    result = estimator._rescue_missed_components(
+        estimator._robustly_preprocessed(scaled), profile, result=profile.minimize(start),
+        bounds=[(0.0, np.pi)] * (2 * p), cfg=None, profile=profile,
+    )
+    return math.ldexp(lse_objective_vec(profile.vector(result.best_point), scaled), 2 * k)
+
+
 CORNERS = np.array([(0.0, 0.0), (0.0, np.pi), (np.pi, 0.0), (np.pi, np.pi)])
 
 
@@ -733,7 +776,7 @@ class TestSeparableLeastSquares:
     def test_profile_value_matches_direct_objective(self, case):
         field, freqs = case
         profile = estimator._LeastSquaresProfile(field, 1e6)
-        value = profile(freqs.ravel()) * profile.mean_square
+        value = profile(freqs.ravel())
         direct = lse_objective_vec(profile.vector(freqs.ravel()), field)
         assert abs(value - direct) <= lse_floor(field)
 
@@ -742,7 +785,7 @@ class TestSeparableLeastSquares:
     def test_degenerate_frequencies_never_fall_below_direct_objective(self, case):
         field, freqs = case
         profile = estimator._LeastSquaresProfile(field, 1e6)
-        value = profile(freqs.ravel()) * profile.mean_square
+        value = profile(freqs.ravel())
         vec = profile.vector(freqs.ravel())
         assert math.isfinite(value)
         assert np.all(np.isfinite(vec)) and np.abs(vec.reshape(-1, 4)[:, :2]).max() <= 1e6
@@ -753,7 +796,7 @@ class TestSeparableLeastSquares:
         profile = estimator._LeastSquaresProfile(data, 1.0)
         vec = profile.vector(np.array([0.4, 0.6]))
         np.testing.assert_array_equal(vec, [1.0, 1.0, 0.4, 0.6])
-        value = profile(np.array([0.4, 0.6])) * profile.mean_square
+        value = profile(np.array([0.4, 0.6]))
         assert value == pytest.approx(lse_objective_vec(vec, data), rel=1e-15)
 
 
@@ -815,9 +858,113 @@ class TestProfiledLse:
         data = noisy_observation(two_component_truth, Grid(30, 30), NoiseSpec("gaussian", 1.0), 3)
         report = fit(data, 2, method="lse")
         assert calls["solve"] == 2  # the initial guess, once per component
-        assert calls["lse"] >= 1
-        assert report.iterations > 10 * calls["lse"]
+        assert calls["lse"] == 1
         assert report.objective_value == lse_objective_vec(report.params_hat.as_vector(), data)
+
+
+def dense_profile_derivatives(field, freqs):
+    """Value, gradient and Hessian of the profile from the dense TS x 2p
+    design and its derivative columns, formula by formula."""
+    t = field.grid.t_values()[:, None]
+    s = field.grid.s_values()[None, :]
+    p, y = len(freqs) // 2, field.values.ravel()
+    phases = [freqs[2 * k] * t + freqs[2 * k + 1] * s for k in range(p)]
+    design = np.column_stack([np.cos(x).ravel() for x in phases] + [np.sin(x).ravel() for x in phases])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    r = y - design @ coef
+    weights = [(t + 0.0 * s).ravel(), (0.0 * t + s).ravel()]
+    columns = []
+    for i in range(2 * p):
+        k, axis = divmod(i, 2)
+        d_design = np.zeros_like(design)
+        d_design[:, k] = -weights[axis] * np.sin(phases[k]).ravel()
+        d_design[:, p + k] = weights[axis] * np.cos(phases[k]).ravel()
+        columns.append(d_design)
+    d = [c @ coef for c in columns]
+    w = [columns[i].T @ r - design.T @ d[i] for i in range(2 * p)]
+    inverse = np.linalg.inv(design.T @ design)
+    n = y.size
+    hess = np.empty((2 * p, 2 * p))
+    for i in range(2 * p):
+        for j in range(2 * p):
+            (k, a), (l, b) = divmod(i, 2), divmod(j, 2)
+            second = 0.0
+            if k == l:
+                surface = coef[k] * np.cos(phases[k]) + coef[p + k] * np.sin(phases[k])
+                second = -r @ (weights[a] * weights[b] * surface.ravel())
+            hess[i, j] = (2.0 / n) * (d[i] @ d[j] - second - w[i] @ inverse @ w[j])
+    grad = np.array([-(2.0 / n) * (r @ di) for di in d])
+    return float(r @ r) / n, grad, hess
+
+
+@st.composite
+def near_bound_frequency_fields(draw):
+    """A ``separated_frequency_fields`` case with one frequency of the first
+    component moved onto or next to 0 or pi (the others stay clear of the
+    corners)."""
+    field, freqs = draw(separated_frequency_fields())
+    edge = draw(st.sampled_from([0.0, np.pi]))
+    offset = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    freqs = freqs.copy()
+    freqs[0, draw(st.integers(0, 1))] = edge + (offset if edge == 0.0 else -offset)
+    vec = np.column_stack([np.ones((len(freqs), 2)), freqs]).ravel()
+    t, s = field.grid.t_values(), field.grid.s_values()
+    return SignalField(field.grid, field.values + estimator.model_grid_values(vec, t, s)), freqs
+
+
+class TestProfileNewton:
+    """``_LeastSquaresProfile.derivatives`` and the Newton descent of the LSE fit."""
+
+    @staticmethod
+    def check_derivatives(field, freqs):
+        x = freqs.ravel()
+        profile = estimator._LeastSquaresProfile(field, 1e6)
+        value, grad, hess = profile.derivatives(x)
+        want_value, want_grad, want_hess = dense_profile_derivatives(field, x)
+        # Natural scales: the mean square, per radian and per radian squared.
+        size = max(field.grid.T, field.grid.S)
+        scale = float(np.vdot(field.values, field.values)) / field.grid.n
+        assert value == profile(x)
+        assert abs(value - want_value) <= lse_floor(field)
+        np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-9 * scale * size)
+        np.testing.assert_allclose(hess, want_hess, rtol=0.0, atol=1e-9 * scale * size**2)
+        h = 1e-6 / size
+        steps = h * np.eye(x.size)
+        central = np.array([(profile(x + e) - profile(x - e)) / (2 * h) for e in steps])
+        np.testing.assert_allclose(central, grad, rtol=0.0, atol=1e-5 * scale * size)
+        second = np.array(
+            [(profile.derivatives(x + e)[1] - profile.derivatives(x - e)[1]) / (2 * h) for e in steps]
+        )
+        np.testing.assert_allclose(second, hess, rtol=0.0, atol=1e-5 * scale * size**2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=separated_frequency_fields())
+    def test_derivatives_match_dense_design_and_central_differences(self, case):
+        self.check_derivatives(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=near_bound_frequency_fields())
+    def test_derivatives_next_to_a_bound(self, case):
+        self.check_derivatives(*case)
+
+    @pytest.mark.parametrize(
+        "truth,n,sigma,seeds",
+        [(ONE_COMPONENT, 25, 0.1, range(12)), (TWO_COMPONENTS, 50, 1.0, range(4))],
+        ids=["p1-25-gaussian", "p2-50-gaussian"],
+    )
+    def test_never_above_the_profiled_simplex(self, truth, n, sigma, seeds):
+        for seed in seeds:
+            data = noisy_observation(truth, Grid(n, n), NoiseSpec("gaussian", sigma), seed)
+            newton = fit(data, truth.p, method="lse").objective_value
+            assert newton <= profiled_simplex_fit(data, truth.p)
+
+    def test_step_cap_reports_not_converged(self, one_component_truth, monkeypatch):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
+        assert fit(data, 1, method="lse").iterations > 1
+        monkeypatch.setattr(estimator, "REFINE_MAX_STEPS", 1)
+        report = fit(data, 1, method="lse")
+        assert (report.iterations, report.converged) == (1, False)
+        assert "optimizer hit the iteration limit" in report.diagnostics
 
 
 def fit_record(report):
@@ -842,21 +989,15 @@ class TestDefaultFitConfig:
         )
         assert cfg.restarts == 0
         assert cfg.initial_step == [0.1, 0.1, 0.5 / 25, 0.5 / 25] * p
-        assert estimator.default_fit_config(p, grid, "lad") == cfg
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_lse_keeps_textbook_coefficients_and_one_restart(self, p):
-        cfg = estimator.default_fit_config(p, Grid(25, 40), "lse")
-        assert cfg == SimplexConfig(initial_step=[0.5 / 25, 0.5 / 25] * p)
-        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (1.0, 2.0, 0.5, 0.5)
-        assert cfg.restarts == 1
-
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, one_component_truth):
+        data = synthesize_signal(one_component_truth, Grid(16, 16))
         with pytest.raises(ValueError, match="unknown method"):
-            estimator.default_fit_config(1, Grid(16, 16), "l1")
+            fit(data, 1, method="l1")
 
     @pytest.mark.parametrize("method", ["lad", "lse"])
     def test_fit_runs_the_default_for_its_method(self, two_component_truth, method, monkeypatch):
+        # LAD runs the default simplex; LSE runs its Newton descent and no simplex.
         configs = []
 
         def recording(objective, initial, bounds, config):
@@ -866,18 +1007,10 @@ class TestDefaultFitConfig:
         monkeypatch.setattr(estimator, "nelder_mead", recording)
         data = noisy_observation(two_component_truth, Grid(20, 20), NoiseSpec("t1"), 3)
         fit(data, 2, method=method)
-        assert configs and all(
-            c == estimator.default_fit_config(2, data.grid, method) for c in configs
-        )
-
-
-ONE_COMPONENT = ModelParams((ComponentParams(2.4, 1.4, 0.4, 0.6),))
-TWO_COMPONENTS = ModelParams(
-    (ComponentParams(4.2, 3.6, 1.1, 1.9), ComponentParams(3.3, 2.7, 0.24, 0.36))
-)
-THREE_COMPONENTS = ModelParams(
-    TWO_COMPONENTS.components + (ComponentParams(2.5, -1.8, 2.3, 0.8),)
-)
+        if method == "lse":
+            assert configs == []
+        else:
+            assert configs and all(c == estimator.default_fit_config(2, data.grid) for c in configs)
 
 
 class TestAdaptiveSimplexQuality:

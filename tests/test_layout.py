@@ -1,4 +1,5 @@
-"""Package layout: verification-only code stays out of the runtime modules."""
+"""Package layout: verification-only code stays out of the runtime modules,
+and every name the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 import lad2d
 
 PACKAGE_DIR = Path(lad2d.__file__).parent
+SPANS_FILE = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
 
 #: Every public name ``import lad2d`` offered before the reference code moved
 #: into ``lad2d.theory``; each must stay importable from the package.
@@ -57,3 +59,24 @@ def test_scan_sees_every_import_form():
 def test_public_names_still_importable():
     package = importlib.import_module("lad2d")
     assert [name for name in PUBLIC_NAMES if not hasattr(package, name)] == []
+
+
+def _span_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of ``TARGETS`` in the benchmark's
+    span table, read from its source (importing it would write bytecode)."""
+    for node in ast.parse(SPANS_FILE.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("no TARGETS list in benchmark/spans.py")
+
+
+def test_span_table_names_resolve():
+    # The tracer only warns when a wrapped name is gone, and its metric then
+    # reads 0; lad2d.estimator.periodogram is the one known stale entry.
+    targets = _span_targets()
+    assert len(targets) >= 20
+    missing = {
+        (module, attribute) for module, attribute in targets
+        if not hasattr(importlib.import_module(module), attribute)
+    }
+    assert missing == {("lad2d.estimator", "periodogram")}

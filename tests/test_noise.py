@@ -180,6 +180,23 @@ class TestSpecText:
     def test_text_gives_spec(self, text, spec):
         assert parse_noise_spec(text) == spec
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t1+outliers:frac=0.2,offst=3", "unknown outlier key 'offst'"),
+            ("gaussian:sigma=0.1,sigma=0.2", "repeated noise key 'sigma'"),
+            ("t1+outliers:frac=0.2,frac=0.3", "repeated outlier key 'frac'"),
+            ("gaussian:sigma", "noise item 'sigma' is not key=value"),
+            ("slash+outliers:frac", "outlier item 'frac' is not key=value"),
+            ("gaussian:tau=1", "unknown noise key 'tau'"),
+        ],
+        ids=["misspelt-outlier-key", "repeated-sigma", "repeated-frac", "bare-sigma", "bare-frac",
+             "unknown-noise-key"],
+    )
+    def test_bad_key_is_named(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_noise_spec(text)
+
     def test_invalid_family_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec("uniform")
