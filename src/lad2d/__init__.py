@@ -36,7 +36,7 @@ from .noise import (
     sample_noise,
 )
 from .objective import PeakPickingError, pick_peaks
-from .optimizer import OptimResult, SimplexConfig, nelder_mead
+from .optimizer import OptimResult
 from .texture import (
     GrayImage,
     field_to_image,

@@ -2,10 +2,12 @@
 
 The pipeline: locate frequencies from periodogram peaks, fit amplitudes by
 linear least squares at those frequencies, then refine on the chosen
-objective.  Absolute residuals are minimized by Nelder-Mead over all 4p
-parameters jointly.  Squared residuals, with the amplitudes solved out at
-every point, are a smooth function of the 2p frequencies alone, minimized
-by projected Newton steps on its analytic gradient and Hessian.
+objective.  Absolute residuals are minimized over all 4p parameters jointly
+by successive linear programming: each step solves the linearized problem,
+a linear L1 regression, exactly at a vertex inside a trust region.  Squared
+residuals, with the amplitudes solved out at every point, are a smooth
+function of the 2p frequencies alone, minimized by projected Newton steps
+on its analytic gradient and Hessian.
 
 Asymptotic variances for the robust estimator come from a block-diagonal
 information-style matrix: each component contributes a 4x4 block
@@ -32,7 +34,7 @@ from .objective import (
     lse_objective_vec,
     peak_candidates,
 )
-from .optimizer import OptimResult, SimplexConfig, adaptive_coefficients, nelder_mead
+from .optimizer import OptimResult, l1_vertex
 
 METHODS = ("lad", "lse")
 
@@ -134,6 +136,8 @@ class EstimateReport:
     grid: Grid
     iterations: int
     converged: bool
+    evaluations: int = 0  # objective calls of the descent and of a rescue re-run it kept
+    termination: str = ""  # why the final descent stopped (``OptimResult.termination``)
     asy_cov: np.ndarray | None = None  # rate-scaled, 4p x 4p
     std_errors: np.ndarray | None = None  # sqrt of asy_cov diagonal
     g0_used: float | None = None
@@ -227,9 +231,10 @@ def _amplitudes_given_frequencies(
 #: this many steps.
 REFINE_X_TOLERANCE = 1e-12
 REFINE_MAX_STEPS = 100
-#: The profiled descent halves a step at most this many times; a step that
-#: still raises the profile ends the descent.
-PROFILE_MAX_HALVINGS = 12
+#: A descent (the profiled least squares, the LAD trust region) halves its
+#: step at most this many times; a step that still raises the objective ends
+#: the descent.
+MAX_HALVINGS = 12
 
 #: Index (a, b) of the weight t^a s^b that two frequency coordinates of one
 #: component put on their second derivative: lam lam -> t^2, lam mu -> t s,
@@ -280,6 +285,10 @@ class _LeastSquaresProfile:
         """Full (A1, B1, lam1, mu1, ...) vector at ``freqs``, amplitudes solved
         and clipped to the box."""
         return self._vector(self._solve(freqs)[0], freqs)
+
+    def start(self, clipped: SignalField, freqs: list[tuple[float, float]]) -> np.ndarray:
+        """The point a descent from ``freqs`` starts at: the frequencies."""
+        return np.ravel(freqs)
 
     def derivatives(self, freqs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The value at ``freqs`` (as :meth:`__call__` gives it), and the
@@ -349,7 +358,7 @@ class _LeastSquaresProfile:
         is positive definite, else a gradient step half a lattice cell long.
         A coordinate within ``REFINE_X_TOLERANCE`` of a bound whose gradient
         points out of the box stays fixed for that step.  The step is clipped
-        into the box and halved, at most ``PROFILE_MAX_HALVINGS`` times,
+        into the box and halved, at most ``MAX_HALVINGS`` times,
         until the profile does not rise.  The descent stops when a step moves
         no coordinate by more than ``REFINE_X_TOLERANCE``, at a stationary
         point, when the halvings run out, or after ``REFINE_MAX_STEPS`` steps;
@@ -381,7 +390,7 @@ class _LeastSquaresProfile:
                 step *= min(1.0, half_lobe / np.abs(step).max())
             else:
                 step[free] = g * (-half_cell / np.abs(g).max())
-            for _ in range(PROFILE_MAX_HALVINGS + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 trial = np.clip(x + step, 0.0, np.pi)
                 if np.abs(trial - x).max() <= tolerance:
                     termination = "xtol"
@@ -398,6 +407,129 @@ class _LeastSquaresProfile:
             x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
         else:
             iterations = REFINE_MAX_STEPS
+        return OptimResult(
+            best_point=x,
+            best_value=value,
+            iterations=iterations,
+            converged=termination != "maxiter",
+            termination=termination,
+            evaluations=evaluations,
+        )
+
+
+#: A LAD step that lowers the objective by no more than this share of it ends
+#: the descent.
+LAD_F_TOLERANCE = 1e-12
+
+
+class _LeastAbsoluteFit:
+    """The LAD objective over all 4p parameters (A1, B1, lam1, mu1, ...) in
+    the box [-bound, bound]^2 x [0, pi]^2 per component, and its descent.
+
+    :meth:`minimize` runs successive linear programming (Osborne & Watson
+    1971): each step replaces the residual by its linearization r - J d and
+    solves min sum |r - J d| exactly, at a vertex (``l1_vertex``).  The
+    columns of J are rank-2 products of per-axis factors, cos and sin of
+    lam t and mu s, times t or s for the frequencies; nothing of size TS
+    takes a trigonometric function.
+    """
+
+    def __init__(self, data: SignalField, amplitude_bound: float) -> None:
+        self.data = data
+        self.t, self.s = data.grid.t_values()[:, None], data.grid.s_values()[None, :]
+        # One step unit per coordinate, the former simplex's steps: amplitudes
+        # are seen at a robust scale in [1, 2), and a frequency's basin is
+        # O(1 / T) wide.
+        freq_step = 0.5 / min(data.grid.T, data.grid.S)
+        self.unit = np.array([0.1, 0.1, freq_step, freq_step])
+        self.lower = np.array([-amplitude_bound, -amplitude_bound, 0.0, 0.0])
+        self.upper = np.array([amplitude_bound, amplitude_bound, np.pi, np.pi])
+
+    def __call__(self, theta: np.ndarray) -> float:
+        return lad_objective_vec(theta, self.data)
+
+    def vector(self, theta: np.ndarray) -> np.ndarray:
+        return np.array(theta, dtype=float)
+
+    def start(self, clipped: SignalField, freqs: list[tuple[float, float]]) -> np.ndarray:
+        """The point a descent from ``freqs`` starts at: the amplitudes that
+        fit ``clipped`` there by least squares, clipped to the box."""
+        p = len(freqs)
+        vec = _pack(_amplitudes_given_frequencies(clipped, freqs), freqs)
+        return np.clip(vec, np.tile(self.lower, p), np.tile(self.upper, p))
+
+    def _linearized(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residual (TS,) at ``theta`` and the model's Jacobian (TS, 4p)
+        there, in step units."""
+        A, B, lam, mu = theta.reshape(-1, 4).T[:, :, None, None]
+        ct, st = np.cos(lam * self.t), np.sin(lam * self.t)  # (p, T, 1)
+        cs, ss = np.cos(mu * self.s), np.sin(mu * self.s)  # (p, 1, S)
+        jac = np.empty((theta.size // 4, 4) + self.data.values.shape)
+        cos, sin, d_lam, d_mu = jac.transpose(1, 0, 2, 3)  # of lam t + mu s, (p, T, S)
+        np.subtract(ct * cs, st * ss, out=cos)
+        np.add(st * cs, ct * ss, out=sin)
+        slope = B * cos - A * sin
+        np.multiply(self.t, slope, out=d_lam)
+        np.multiply(self.s, slope, out=d_mu)
+        residual = self.data.values - (A * cos + B * sin).sum(axis=0)
+        jac *= self.unit[:, None, None]
+        return residual.ravel(), jac.reshape(theta.size, -1).T
+
+    def minimize(self, start: np.ndarray) -> OptimResult:
+        """Successive linear programming from ``start``, clipped into the box.
+
+        Each step solves the linearized problem exactly inside a trust region
+        intersected with the box, warm-started from the previous step's zero
+        rows, so a coordinate on a bound never steps out of the box.  The
+        trust region starts at one step unit per coordinate (0.1 on
+        amplitudes, 0.5 / min(T, S) on frequencies).  It is halved and
+        the step solved again, at most ``MAX_HALVINGS`` times, until
+        the objective does not rise; after a step taken at the first try it
+        doubles again, up to one unit.  The descent stops when a step lowers
+        the objective by no more than ``LAD_F_TOLERANCE`` of it, when a step
+        moves no coordinate by more than ``REFINE_X_TOLERANCE`` (the
+        linearization's minimum is where the descent stands), where the
+        linearization has no vertex ("singular"), when the halvings run out,
+        or after ``REFINE_MAX_STEPS`` steps; only the last is reported as not
+        converged.  ``iterations`` counts the steps taken and ``evaluations``
+        the objective's calls.
+        """
+        p = np.size(start) // 4
+        lower, upper, unit = np.tile(self.lower, p), np.tile(self.upper, p), np.tile(self.unit, p)
+        x = np.clip(np.asarray(start, dtype=float), lower, upper)
+        value, evaluations, iterations = self(x), 1, 0
+        termination, rows, radius = "maxiter", (), 1.0
+        while iterations < REFINE_MAX_STEPS:
+            residual, jac = self._linearized(x)
+            for halvings in range(MAX_HALVINGS + 1):
+                try:
+                    step, rows = l1_vertex(
+                        jac, residual, np.maximum(-radius, (lower - x) / unit),
+                        np.minimum(radius, (upper - x) / unit), rows,
+                    )
+                except np.linalg.LinAlgError:
+                    termination = "singular"
+                    break
+                trial = np.clip(x + step * unit, lower, upper)
+                if not np.abs(trial - x).max() > REFINE_X_TOLERANCE:
+                    termination = "xtol"
+                    break
+                evaluations += 1
+                trial_value = self(trial)
+                if trial_value <= value:  # False for NaN, which halves the region
+                    break
+                radius /= 2.0
+            else:
+                termination = "stalled"
+            if termination != "maxiter":
+                break
+            iterations += 1
+            if halvings == 0:
+                radius = min(1.0, 2.0 * radius)
+            gain, x, value = value - trial_value, trial, trial_value
+            if gain <= LAD_F_TOLERANCE * (value + gain):
+                termination = "ftol"
+                break
         return OptimResult(
             best_point=x,
             best_value=value,
@@ -588,61 +720,10 @@ def initial_guess(
     return ModelParams.from_vector(_pack(coef, freqs), amplitude_bound)
 
 
-def default_fit_config(p: int, grid: Grid) -> SimplexConfig:
-    """The simplex a LAD ``fit`` runs for p components on ``grid``.
-
-    Steps are sized to the problem: 0.1 on amplitudes, which ``fit`` sees
-    at a robust scale in [1, 2), and half a lattice cell on frequencies (the
-    frequency objective has an O(1/T) wide basin).  It searches all n = 4p
-    parameters with Gao and Han's dimension-adaptive coefficients
-    (``adaptive_coefficients(4p)``) and no restart.
-
-    The LAD simplex from ``initial_guess`` on the fields of the test
-    ``TestAdaptiveSimplexQuality``, seeds 0-11 per shape, scaled by 2^-k as
-    ``fit`` scales them (k = 0 on every p=1 field, 2 on every p=2 and p=3
-    field).  Evaluations are the median [min, max]; the gap is the median
-    relative distance above a reference minimum, reached by twelve restarts
-    of the adaptive and then of the textbook simplex from the better end of
-    the two marked runs (*).  Adaptive coefficients (expansion, contraction,
-    shrink) are (1.5, 0.625, 0.75) at n = 4, (1.25, 0.6875, 0.875) at n = 8
-    and (1.167, 0.708, 0.917) at n = 12.
-
-    ===================  ==  ============  ========  ===================  =======
-    shape                n   coefficients  restarts  evaluations          gap
-    ===================  ==  ============  ========  ===================  =======
-    p=1 25x25 gaussian   4   adaptive      0 (*)     524 [441, 789]       7.6e-10
-    sigma=0.1                adaptive      1         930 [831, 1169]      1.4e-11
-                             textbook      0         460 [338, 753]       5.9e-08
-                             textbook      1 (*)     766 [641, 1078]      4.5e-09
-    p=2 50x50 t1         8   adaptive      0 (*)     1671 [1231, 3095]    7.2e-09
-                             adaptive      1         3096 [2189, 4238]    1.6e-09
-                             textbook      0         1119 [794, 1776]     2.1e-07
-                             textbook      1 (*)     2017 [1692, 2871]    6.5e-08
-    p=3 40x40 t1         12  adaptive      0 (*)     3226 [2387, 6058]    1.2e-07
-                             adaptive      1         6002 [4533, 10269]   7.6e-08
-                             textbook      0         3129 [1772, 5380]    9.9e-06
-                             textbook      1 (*)     5088 [3988, 7355]    1.4e-06
-    ===================  ==  ============  ========  ===================  =======
-
-    The default (adaptive, no restart) costs 17-37% fewer evaluations than
-    the textbook simplex with its restart and ends 6-12 times closer to the
-    reference.  A restart would close the gap further at 77-86% more cost.
-    """
-    freq_step = 0.5 / min(grid.T, grid.S)
-    return SimplexConfig(
-        initial_step=[0.1, 0.1, freq_step, freq_step] * p,
-        restarts=0,
-        **adaptive_coefficients(4 * p),
-    )
-
-
 def _rescue_missed_components(
     clipped: SignalField,
-    objective,
+    descent: _LeastAbsoluteFit | _LeastSquaresProfile,
     result: OptimResult,
-    bounds,
-    cfg: SimplexConfig | None,
-    profile: _LeastSquaresProfile | None = None,
 ) -> OptimResult:
     """Swap a fitted component for a peak left in the residual, if that helps.
 
@@ -650,25 +731,22 @@ def _rescue_missed_components(
     periodogram; the joint fit then wastes a component slot on it.  When that
     happens the true component survives in the residual of the fit, so: walk
     the residual's peaks (away from the fitted frequencies), tentatively swap
-    each for the lowest-energy fitted component with amplitudes refit, and
-    re-optimize from the first start that already beats the incumbent
-    objective.  Swapping one noise bump for another never clears that gate,
-    so healthy fits pay only a handful of objective evaluations.
+    each for the lowest-energy fitted component, and re-run ``descent`` from
+    the first start that already beats the incumbent objective.  Swapping
+    one noise bump for another never clears that gate, so healthy fits pay
+    only a handful of objective evaluations.
 
-    The residual is taken from ``clipped``, the preprocessed data.  Without
-    ``profile`` a point is the full (A1, B1, lam1, mu1, ...) vector, a
-    start's amplitudes are refit on ``clipped`` and the re-optimization is
-    the simplex ``cfg``; with it a point holds the frequencies alone,
-    ``profile`` solves the amplitudes and its Newton descent re-optimizes.
+    The residual is taken from ``clipped``, the preprocessed data.  A point
+    is whatever ``descent`` minimizes over: for LAD all 4p parameters, whose
+    start refits the amplitudes on ``clipped``; for LSE the 2p frequencies,
+    the amplitudes being solved out.
     """
     t, s = clipped.grid.t_values(), clipped.grid.s_values()
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
     best = result
-    p = len(bounds) // (4 if profile is None else 2)
+    vec = descent.vector(best.best_point)
+    p = vec.size // 4
     scan = max(8, 2 * p)
     for _ in range(p):
-        vec = best.best_point if profile is None else profile.vector(best.best_point)
         freqs = [(vec[4 * k + 2], vec[4 * k + 3]) for k in range(p)]
         residual = SignalField(clipped.grid, clipped.values - model_grid_values(vec, t, s))
         candidates = peak_candidates(residual, same_lobe_only=True, limit=scan, exclude=freqs)
@@ -678,17 +756,10 @@ def _rescue_missed_components(
             lam, mu = _refine_peak_frequency(residual, lam, mu)
             new_freqs = list(freqs)
             new_freqs[weakest] = (lam, mu)
-            if profile is None:
-                coef = _amplitudes_given_frequencies(clipped, new_freqs)
-                trial = np.clip(_pack(coef, new_freqs), lo, hi)
-            else:
-                trial = np.ravel(new_freqs)
-            if objective(trial) >= best.best_value:
+            trial = descent.start(clipped, new_freqs)
+            if descent(trial) >= best.best_value:
                 continue
-            if profile is None:
-                retry = nelder_mead(objective, trial, bounds, cfg)
-            else:
-                retry = profile.minimize(trial)
+            retry = descent.minimize(trial)
             retry.iterations += best.iterations
             retry.evaluations += best.evaluations
             if retry.best_value < best.best_value:
@@ -697,14 +768,15 @@ def _rescue_missed_components(
                 break
         if not improved:
             break
+        vec = descent.vector(best.best_point)
     return best
 
 
 def _scale_exponent(values: np.ndarray) -> int:
     """The k that ``fit`` divides the data by 2^k with: floor(log2) of the
-    robust scale, so the scaled data's lies in [1, 2) (with [1/2, 1) the
-    adaptive LAD simplex lost the p=1 row of ``default_fit_config``'s table).
-    The robust scale is the MAD about the median, else the largest |value|;
+    robust scale, so the scaled data's lies in [1, 2), the scale the LAD
+    descent's step unit of 0.1 on amplitudes is sized for.  The
+    robust scale is the MAD about the median, else the largest |value|;
     a zero field gets k = 0.  k is raised where the largest |value| would
     scale to 2^400 or more, so squares and sums of the data stay finite."""
     mad = float(np.median(np.abs(values - np.median(values))))
@@ -726,24 +798,28 @@ def fit(
     """Fit p components to the observed field by the chosen objective.
 
     The fit runs on the data times 2^-k (:func:`_scale_exponent`), so the
-    simplex's steps and tolerances are relative to the data's scale; the
+    descents' steps and tolerances are relative to the data's scale; the
     amplitudes come back times 2^k and the objective times 2^k (LAD) or 4^k
     (LSE).  That is exact: ``fit(y * 2^j)`` is ``fit(y)`` so scaled, bit for
     bit, wherever neither under- or overflows.  An objective beyond the
     largest float raises ``FitError``.
 
-    LAD runs Nelder-Mead over all 4p parameters with dimension-adaptive
-    coefficients and no restart (``default_fit_config(p, grid)``); its
-    iteration count counts simplex iterations.  LSE profiles the amplitudes
+    LAD runs successive linear programming over all 4p parameters
+    (:meth:`_LeastAbsoluteFit.minimize`): each step solves the linearized
+    L1 problem exactly, at a vertex, inside a trust region of at most 0.1
+    on amplitudes and 0.5 / min(T, S) on frequencies; its iteration
+    count counts those steps.  LSE profiles the amplitudes
     out: at fixed frequencies they solve a 2p x 2p linear system, so it
     minimizes a smooth function of the 2p frequencies alone, by projected
     Newton steps on its analytic gradient and Hessian
     (:meth:`_LeastSquaresProfile.minimize`); its iteration count counts
     Newton steps, and its amplitudes come from the solve, clipped to
-    ``amplitude_bound``.  Either count includes the rescue pass's successful
-    re-run, and a run that reaches its iteration cap is reported as not
-    converged.  ``amplitude_bound`` must be positive (``math.inf`` lifts the
-    box).  Without ``init`` the start comes from :func:`initial_guess`, and a
+    ``amplitude_bound``.  Either count, and the report's ``evaluations``
+    (objective calls), includes the rescue pass's successful re-run; the
+    report's ``termination`` says why the final descent stopped.  A run
+    that reaches its step cap is reported as not converged.
+    ``amplitude_bound`` must be positive (``math.inf`` lifts the box).
+    Without ``init`` the start comes from :func:`initial_guess`, and a
     rescue pass then tries the residual's periodogram peaks; both search a
     lattice a fixed ``LATTICE_REFINEMENT`` times finer than the Fourier
     frequencies.
@@ -777,28 +853,17 @@ def fit(
         amplitudes = x0.reshape(p, 4)[:, :2]  # a view into x0
         np.clip(np.ldexp(amplitudes, -k), -bound, bound, out=amplitudes)
     if method == "lad":
-        profile, cfg = None, default_fit_config(p, data.grid)
-        bounds = [(-bound, bound), (-bound, bound), (0.0, np.pi), (0.0, np.pi)] * p
-        objective = lambda th: lad_objective_vec(th, data)
-        result: OptimResult = nelder_mead(objective, x0, bounds, cfg)
+        descent, start = _LeastAbsoluteFit(data, bound), x0
     else:
-        profile, cfg = _LeastSquaresProfile(data, bound), None
-        bounds = [(0.0, np.pi)] * (2 * p)
-        objective = profile
-        result = profile.minimize(x0.reshape(p, 4)[:, 2:].ravel())
+        descent, start = _LeastSquaresProfile(data, bound), x0.reshape(p, 4)[:, 2:].ravel()
+    result = descent.minimize(start)
     if init is None:
         # ``result`` by keyword: benchmark/spans.py reads it by that name.
-        result = _rescue_missed_components(
-            _robustly_preprocessed(data), objective, result=result, bounds=bounds, cfg=cfg,
-            profile=profile,
-        )
-    if profile is None:
-        vec, value = result.best_point.copy(), result.best_value
-    else:
-        vec = profile.vector(result.best_point)
-        value = lse_objective_vec(vec, data)
+        result = _rescue_missed_components(_robustly_preprocessed(data), descent, result=result)
+    vec = descent.vector(result.best_point)
+    value = result.best_value if method == "lad" else lse_objective_vec(vec, data)
     try:
-        value = math.ldexp(value, k if profile is None else 2 * k)
+        value = math.ldexp(value, k if method == "lad" else 2 * k)
     except OverflowError as exc:
         raise FitError(f"the {method} objective is beyond the largest float at this scale") from exc
     amplitudes = vec.reshape(p, 4)[:, :2]
@@ -816,6 +881,8 @@ def fit(
         grid=data.grid,
         iterations=result.iterations,
         converged=result.converged,
+        evaluations=result.evaluations,
+        termination=result.termination,
     )
     if not result.converged:
         report.diagnostics += ("optimizer hit the iteration limit",)

@@ -291,7 +291,7 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     The keys are ``truth.A<k>``, ``truth.B<k>``, ``truth.lambda<k>``,
     ``truth.mu<k>``, ``noise``, ``grids`` (comma list of TxS), ``reps``,
     ``seed`` and ``methods`` (comma list).  Any other key raises
-    ``ValueError`` naming it: ``fit`` sizes its simplex and lattice from p,
+    ``ValueError`` naming it: ``fit`` sizes its descent and lattice from p,
     the grid and the method, and :func:`run_experiment` fixes which
     non-converged fits count.  Lines starting with '#' are comments.
     """

@@ -1,91 +1,24 @@
-"""Self-contained Nelder-Mead downhill simplex minimizer with box clamping.
+"""The result every descent of the fit reports, and an exact solver for
+linear least-absolute-deviation regression.
 
-Written for nonsmooth objectives (mean absolute residual): trial points are
-clamped to the box rather than penalized, and an optional restart rebuilds the
-simplex at the incumbent to shake off the stagnation Nelder-Mead is prone to
-on kinked surfaces.  ``SimplexConfig`` defaults to the textbook coefficients
-(1, 2, 1/2, 1/2) with one restart; ``adaptive_coefficients`` gives Gao and
-Han's dimension-scaled ones, which the 4p-dimensional LAD fit uses with no
-restart (see ``estimator.default_fit_config``).  The LAD fit is the only
-caller in the package: the smooth least-squares fit runs projected Newton
-steps instead (``estimator._LeastSquaresProfile.minimize``), which also
-report an ``OptimResult``.
-
-The vertices are kept best first, as lists of Python floats.  Ties are broken
-stably (Lagarias et al. 1998): a vertex that replaces the worst one is
-inserted after every vertex with an equal value, so an older vertex always
-ranks before a newer one of the same value; after a shrink or a restart, the
-only steps that replace several vertices, one stable sort restores the order.
-The arithmetic is the numpy form's, coordinate by coordinate: the centroid is
-summed from 0.0 over the vertices in rank order and divided by the dimension,
-and a trial point is clamped below and then above, an equal bound winning the
-tie.  Runs are reproducible bit for bit.
+``l1_vertex`` minimizes sum |b - A x| over x for a tall A with a handful of
+columns: the subproblem the LAD fit solves at each step of its successive
+linear programming descent (``estimator._LeastAbsoluteFit``), where A is the
+model's Jacobian and b the residual.  A linear L1 regression attains its
+minimum at a vertex, where as many residuals as A has columns are zero; the
+solver walks from vertex to vertex along edges, as Barrodale and Roberts
+(1973) do, each time as far as the weighted median of the residual ratios
+along the edge carries it, so every pivot lowers the sum of absolute
+residuals by as much as its edge allows.  A box on x, the descent's trust
+region, enters as rows of its own.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
+import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
-from typing import Callable, Sequence
 
 import numpy as np
-
-Bounds = Sequence[tuple[float, float]] | None
-
-
-@dataclass
-class SimplexConfig:
-    """Tuning knobs.  The defaults are the textbook coefficients with one
-    restart; the LAD fit replaces the coefficients with
-    ``adaptive_coefficients(4p)`` and the restart count with 0.
-
-    ``max_iterations`` of None resolves to 2000 x dimension at run time.
-    ``initial_step`` may be a scalar or one step per coordinate.
-    """
-
-    max_iterations: int | None = None
-    x_tolerance: float = 1e-9
-    f_tolerance: float = 1e-12
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    initial_step: float | Sequence[float] = 0.1
-    restarts: int = 1
-
-    def __post_init__(self) -> None:
-        if not (self.expansion > self.reflection > 0):
-            raise ValueError("need expansion > reflection > 0")
-        if not (0 < self.contraction < 1):
-            raise ValueError("need 0 < contraction < 1")
-        if not (0 < self.shrink < 1):
-            raise ValueError("need 0 < shrink < 1")
-        if self.x_tolerance <= 0 or self.f_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
-
-
-def adaptive_coefficients(n: int) -> dict[str, float]:
-    """Gao and Han's (2012) coefficients for an n-dimensional simplex, n >= 2:
-    reflection 1, expansion 1 + 2/n, contraction 3/4 - 1/(2n), shrink 1 - 1/n.
-
-    At n = 2 they are the textbook (1, 2, 1/2, 1/2).  As n grows, expansion
-    and contraction move toward 1 and 3/4 and the shrink toward 1, so the
-    simplex keeps its shape instead of collapsing onto a subspace.  The dict
-    keys are ``SimplexConfig`` field names.
-    """
-    if n < 2:
-        raise ValueError(f"adaptive coefficients need dimension n >= 2, got {n}")
-    return {
-        "reflection": 1.0,
-        "expansion": 1.0 + 2.0 / n,
-        "contraction": 0.75 - 0.5 / n,
-        "shrink": 1.0 - 1.0 / n,
-    }
 
 
 @dataclass
@@ -94,175 +27,135 @@ class OptimResult:
     best_value: float
     iterations: int
     converged: bool
-    termination: str  # "xtol" | "ftol" | "maxiter"; Newton also "stationary" | "stalled"
+    # Why the descent stopped: "maxiter" (its step cap, the one case not
+    # converged), "xtol" (a step moved nothing), "stalled" (the halvings ran
+    # out), and for LAD "ftol" (a step gained too little) or "singular" (no
+    # vertex to solve at), for LSE "stationary" (a zero gradient)
+    termination: str
     evaluations: int  # objective calls, the initial point included
 
 
-def _clamped(point: list[float], lo: list[float], hi: list[float]) -> list[float]:
-    """``np.minimum(np.maximum(point, lo), hi)``: a NaN coordinate stays NaN
-    and a bound equal to the coordinate (a signed zero) replaces it."""
-    out = []
-    for x, low, high in zip(point, lo, hi):
-        if x <= low:
-            x = low
-        if x >= high:
-            x = high
-        out.append(x)
-    return out
+#: A starting row is taken into the basis only if this share of its length
+#: lies outside the span of the rows taken before it.
+BASIS_RTOL = 1e-2
+#: A vertex is optimal once no edge's rate of descent exceeds this; an exact
+#: optimum reads 1 or less, and rounding stays far below the margin.
+OPTIMALITY_TOLERANCE = 1.0 + 1e-9
+#: Pivots per solve, in multiples of the number of unknowns.
+MAX_PIVOTS_PER_UNKNOWN = 50
 
 
-def _centroid(vertices: list[list[float]]) -> list[float]:
-    """``np.mean(vertices, axis=0)``: each coordinate summed from 0.0 in
-    vertex order, then divided by the vertex count.  (The builtin ``sum``
-    compensates float sums from Python 3.12 on, so it is not used.)"""
-    count = len(vertices)
-    return [reduce(add, coords, 0.0) / count for coords in zip(*vertices)]
+def _by_size(b: np.ndarray, first: int):
+    """Row indices by increasing |b|: the ``first`` smallest, then all."""
+    size = np.abs(b)
+    if first < size.size:
+        smallest = np.argpartition(size, first)[:first]
+        yield from smallest[np.argsort(size[smallest], kind="stable")].tolist()
+    yield from np.argsort(size, kind="stable").tolist()
 
 
-def _diameter_below(vertices: list[list[float]], tolerance: float) -> bool:
-    """``np.max(np.abs(vertices[1:] - vertices[0])) < tolerance``, stopping
-    at the first distance that is not below (a NaN distance is not)."""
-    best = vertices[0]
-    for vertex in vertices[1:]:
-        for x, b in zip(vertex, best):
-            if not abs(x - b) < tolerance:
-                return False
-    return True
+def _starting_rows(A: np.ndarray, b: np.ndarray, preferred) -> list[int]:
+    """As many independent rows of A as it has columns: those of
+    ``preferred`` first, then the rest by increasing |b|, each taken if
+    enough of it lies outside the span of the ones before (Gram-Schmidt).
+    A rank-deficient A raises ``LinAlgError``."""
+    m = A.shape[1]
+    basis, rows = np.empty((m, m)), []
+    for i in itertools.chain(np.asarray(preferred, dtype=int).tolist(), _by_size(b, 8 * m)):
+        if i in rows:
+            continue
+        row = A[i]
+        outside = row - basis[: len(rows)].T @ (basis[: len(rows)] @ row)
+        norm = float(np.sqrt(outside @ outside))
+        if norm > BASIS_RTOL * float(np.sqrt(row @ row)):
+            basis[len(rows)] = outside / norm
+            rows.append(i)
+            if len(rows) == m:
+                return rows
+    raise np.linalg.LinAlgError(f"the rows span fewer than {m} dimensions")
 
 
-def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    initial: Sequence[float],
-    bounds: Bounds = None,
-    config: SimplexConfig | None = None,
-) -> OptimResult:
-    """Minimize ``objective`` from ``initial`` inside an optional coordinate box.
-
-    Non-finite objective values encountered mid-run are treated as +inf (the
-    trial point is simply rejected); a non-finite value at the initial point is
-    an error.  The best vertex value is non-increasing over iterations.  Each
-    call of ``objective`` gets a fresh float64 array.
-    """
-    cfg = config or SimplexConfig()
-    x0 = np.asarray(initial, dtype=float).copy()
-    n = x0.size
-    if n == 0:
-        raise ValueError("initial point must have at least one coordinate")
-    if bounds is None:
-        lo = np.full(n, -np.inf)
-        hi = np.full(n, np.inf)
-    else:
-        if len(bounds) != n:
-            raise ValueError(f"need {n} bound pairs, got {len(bounds)}")
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        if not np.all(lo <= hi):
-            raise ValueError("each bound must satisfy lo <= hi")
-        if np.any(x0 < lo) or np.any(x0 > hi):
-            raise ValueError("initial point must lie inside the bounds")
-    steps = np.broadcast_to(np.asarray(cfg.initial_step, dtype=float), (n,)).copy()
-    if np.any(steps <= 0):
-        raise ValueError("initial steps must be positive")
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else 2000 * n
-    lo_list, hi_list, step_list = lo.tolist(), hi.tolist(), steps.tolist()
-    reflection, expansion = float(cfg.reflection), float(cfg.expansion)
-    contraction, shrink = float(cfg.contraction), float(cfg.shrink)
-
-    evaluations = 1  # the initial point, evaluated directly below
-
-    def f(x: list[float]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        value = float(objective(np.array(x)))
-        return value if not math.isnan(value) else math.inf
-
-    def clamp(x: list[float]) -> list[float]:
-        return x if bounds is None else _clamped(x, lo_list, hi_list)
-
-    def ranked(vertices: list[list[float]], values: list[float]):
-        order = sorted(range(n + 1), key=values.__getitem__)  # stable
-        return [vertices[i] for i in order], [values[i] for i in order]
-
-    def initial_simplex(best: list[float], f_best: float):
-        vertices = [best]
-        for i in range(n):
-            step = step_list[i]
-            # Step away from a boundary rather than into it.
-            if best[i] + step > hi_list[i]:
-                step = -step
-            vertex = list(best)
-            vertex[i] = min(max(best[i] + step, lo_list[i]), hi_list[i])
-            vertices.append(vertex)
-        return ranked(vertices, [f_best] + [f(v) for v in vertices[1:]])
-
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
-        raise ValueError(f"objective is not finite at the initial point: {f0}")
-
-    vertices, values = initial_simplex(x0.tolist(), f0)
-    iterations = 0
-    termination = "maxiter"
-    restarts_left = cfg.restarts
-
+def _up_to_weighted_median(ratio: np.ndarray, weight: np.ndarray, target: float) -> np.ndarray:
+    """Indices of the smallest ratios, in increasing order, up to the first
+    at which their weights add up to ``target``; none if they never do.  The
+    ratios are sorted only as far as that: rarely beyond the first dozens."""
+    count = 64
     while True:
-        phase_done = None
-        if _diameter_below(vertices, cfg.x_tolerance):
-            phase_done = "xtol"
-        elif values[-1] - values[0] < cfg.f_tolerance:
-            phase_done = "ftol"
-        elif iterations >= max_iter:
-            phase_done = "maxiter"
+        near = np.arange(ratio.size) if count >= ratio.size else np.argpartition(ratio, count)[:count]
+        near = near[np.argsort(ratio[near], kind="stable")]
+        stop = int(np.searchsorted(np.cumsum(weight[near]), target))
+        if stop < near.size:
+            return near[: stop + 1]
+        if near.size == ratio.size:
+            return near[:0]
+        count *= 16
 
-        if phase_done is not None:
-            if phase_done != "maxiter" and restarts_left > 0:
-                # Rebuild a fresh simplex at the incumbent and keep going.
-                restarts_left -= 1
-                vertices, values = initial_simplex(vertices[0], values[0])
-                continue
-            termination = phase_done
+
+def l1_vertex(
+    A: np.ndarray, b: np.ndarray, lower: np.ndarray, upper: np.ndarray, preferred=()
+) -> tuple[np.ndarray, np.ndarray]:
+    """x minimizing sum |b - A x| over the box lower <= x <= upper, for A of
+    shape (n, m) and lower <= 0 <= upper, and the m rows that are zero there.
+
+    The box enters as 2m rows W (x_j - upper_j) and W (x_j - lower_j): their
+    absolute values add up to a constant inside the box and grow at the rate
+    2W outside, and W, the largest column sum of |A|, is more than any rate
+    at which the other rows can fall, so the minimum stays in the box.  Row
+    indices from n on are these bounds, x_j = upper_j then x_j = lower_j.
+
+    The first vertex goes through the ``preferred`` rows (the previous
+    solve's, for a warm start) and fills up with the rows of smallest |b|.
+    At a vertex with rows Z, releasing row j of Z moves x along column j
+    of A_Z^-1; with s the signs of the other residuals, the sum falls along
+    it at the rate |w_j| - 1, where w = (s A) A_Z^-1.  No |w_j| above 1
+    means the vertex is optimal.  Otherwise the solver takes the steepest
+    edge and stops on it where the sum stops falling: the weighted median of
+    the ratios residual / rate of change, weighted by the rates, whose row
+    then replaces row j.  The residuals and s A are updated in place, from
+    the rows the step passed.  The walk is exact where no two residual
+    ratios tie, as on the fit's continuous residuals; a tie leaves a zero
+    residual with a stale sign, and the walk can then stop at a vertex that
+    is not the optimum.  A singular vertex raises ``LinAlgError``.
+    """
+    m = A.shape[1]
+    W = max(max(float(np.abs(column).sum()) for column in A.T), 1.0)
+    A = np.concatenate([A, W * np.eye(m), W * np.eye(m)])
+    b = np.concatenate([b, W * upper, W * lower])
+    rows = np.array(_starting_rows(A, b, preferred))
+    inverse = np.linalg.inv(A[rows])
+    residual = b - A @ (inverse @ b[rows])
+    sign = np.sign(residual)
+    sign[rows] = 0.0
+    g = sign @ A
+    for _ in range(MAX_PIVOTS_PER_UNKNOWN * m):
+        w = g @ inverse
+        j = int(np.argmax(np.abs(w)))
+        if not abs(w[j]) > OPTIMALITY_TOLERANCE:  # NaN ends the walk too
             break
-
-        iterations += 1
-        worst, f_worst = vertices.pop(), values.pop()
-        centroid = _centroid(vertices)
-
-        reflected = clamp([c + reflection * (c - w) for c, w in zip(centroid, worst)])
-        f_reflected = f(reflected)
-
-        if f_reflected < values[0]:
-            expanded = clamp([c + expansion * (r - c) for c, r in zip(centroid, reflected)])
-            f_expanded = f(expanded)
-            if f_expanded < f_reflected:
-                new, f_new = expanded, f_expanded
-            else:
-                new, f_new = reflected, f_reflected
-        elif f_reflected < values[-1]:
-            new, f_new = reflected, f_reflected
-        else:
-            if f_reflected < f_worst:  # outside contraction
-                new = clamp([c + contraction * (r - c) for c, r in zip(centroid, reflected)])
-                f_new = f(new)
-                accept = f_new <= f_reflected
-            else:  # inside contraction
-                new = clamp([c + contraction * (w - c) for c, w in zip(centroid, worst)])
-                f_new = f(new)
-                accept = f_new < f_worst
-            if not accept:
-                # Shrink everything toward the best vertex (stays in the box).
-                best = vertices[0]
-                vertices.append(worst)
-                shrunk = [[b + shrink * (x - b) for x, b in zip(v, best)] for v in vertices[1:]]
-                vertices, values = ranked([best] + shrunk, [values[0]] + [f(v) for v in shrunk])
-                continue
-        at = bisect_right(values, f_new)
-        values.insert(at, f_new)
-        vertices.insert(at, new)
-
-    return OptimResult(
-        best_point=np.array(vertices[0]),
-        best_value=values[0],
-        iterations=iterations,
-        converged=termination != "maxiter",
-        termination=termination,
-        evaluations=evaluations,
-    )
+        edge = inverse[:, j] * np.sign(w[j])
+        rate = A @ edge
+        rate[rows] = 0.0  # row j's own term is the 1 in |w_j| - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = residual / rate
+        ahead = np.flatnonzero(ratio > 0.0)
+        # The sum falls at |w_j| - 1 and each row passed slows it by twice its
+        # rate; only tied residual ratios, which leave stale signs, can keep
+        # the rows ahead from ever stopping it.
+        target = 0.5 * (abs(w[j]) - 1.0)
+        passed = ahead[_up_to_weighted_median(ratio[ahead], np.abs(rate[ahead]), target)]
+        if passed.size == 0:
+            break
+        step = ratio[passed[-1]]
+        residual -= step * rate
+        g -= 2.0 * sign[passed] @ A[passed]  # passed rows change sign, the last to 0
+        g += sign[passed[-1]] * A[passed[-1]]
+        sign[passed] *= -1.0
+        sign[passed[-1]] = 0.0
+        residual[passed[-1]] = 0.0
+        leaving = rows[j]
+        residual[leaving] = -step * np.sign(w[j])
+        sign[leaving] = -np.sign(w[j])
+        g += sign[leaving] * A[leaving]
+        rows[j] = passed[-1]
+        inverse = np.linalg.inv(A[rows])
+    return np.clip(inverse @ b[rows], lower, upper), rows  # bound rows solve to within rounding

@@ -32,10 +32,12 @@ from lad2d.estimator import (
 )
 from lad2d.noise import density_at_zero, noisy_observation, parse_noise_spec
 from lad2d.objective import LATTICE_REFINEMENT, lad_objective_vec, lse_objective_vec, peak_candidates
-from lad2d.optimizer import OptimResult, SimplexConfig, nelder_mead
+from lad2d.optimizer import OptimResult
 from lad2d.theory import periodogram
 
 from conftest import random_model
+import simplex
+from simplex import SimplexConfig, nelder_mead
 
 
 def inverse_block_diagonal_oracle(A: float, B: float) -> tuple[float, float, float]:
@@ -303,7 +305,7 @@ class TestFit:
             termination="xtol",
             evaluations=20,
         )
-        monkeypatch.setattr(estimator, "nelder_mead", lambda *args, **kwargs: collapsed)
+        monkeypatch.setattr(estimator._LeastAbsoluteFit, "minimize", lambda self, start: collapsed)
         data = synthesize_signal(two_component_truth, Grid(20, 20))
         with pytest.raises(FitError, match="pairwise distinct") as info:
             fit(data, 2, init=two_component_truth)
@@ -651,15 +653,45 @@ def textbook_fit_config(p, grid):
     return SimplexConfig(initial_step=[0.1, 0.1, freq_step, freq_step] * p, restarts=1)
 
 
+class SimplexDescent(estimator._LeastAbsoluteFit):
+    """A descent over all 4p parameters by the retired simplex ``config``,
+    on the LAD objective or on ``objective``; the rescue pass runs it as it
+    runs the fit's own descent."""
+
+    def __init__(self, data, amplitude_bound, config, objective=lad_objective_vec):
+        super().__init__(data, amplitude_bound)
+        self.config, self.objective = config, objective
+
+    def __call__(self, theta):
+        return self.objective(theta, self.data)
+
+    def minimize(self, start):
+        p = len(start) // 4
+        bounds = list(zip(np.tile(self.lower, p), np.tile(self.upper, p)))
+        return nelder_mead(self, start, bounds, self.config)
+
+
+def simplex_fit(data, p, config):
+    """The former LAD fit by the simplex ``config`` on the data times 2^-k,
+    with the rescue pass; returns the objective at the data's scale."""
+    k = estimator._scale_exponent(data.values)
+    scaled = SignalField(data.grid, np.ldexp(data.values, -k))
+    bound = math.ldexp(1e6, -k)
+    descent = SimplexDescent(scaled, bound, config)
+    start = initial_guess(scaled, p, amplitude_bound=bound).as_vector()
+    result = estimator._rescue_missed_components(
+        estimator._robustly_preprocessed(scaled), descent, result=descent.minimize(start)
+    )
+    return math.ldexp(result.best_value, k)
+
+
 def joint_lse_fit(data, p):
     """The former LSE fit: Nelder-Mead over all 4p parameters from the
     initial guess, then the rescue pass on the same 4p objective."""
-    bounds = [(-1e6, 1e6), (-1e6, 1e6), (0.0, np.pi), (0.0, np.pi)] * p
-    cfg = textbook_fit_config(p, data.grid)
-    objective = lambda th: lse_objective_vec(th, data)
-    result = nelder_mead(objective, initial_guess(data, p).as_vector(), bounds, cfg)
+    descent = SimplexDescent(data, 1e6, textbook_fit_config(p, data.grid), lse_objective_vec)
+    result = descent.minimize(initial_guess(data, p).as_vector())
     return estimator._rescue_missed_components(
-        estimator._robustly_preprocessed(data), objective, result=result, bounds=bounds, cfg=cfg
+        estimator._robustly_preprocessed(data), descent, result=result
     )
 
 
@@ -700,8 +732,7 @@ def profiled_simplex_fit(data, p):
     profile = SimplexProfile(scaled, bound)
     start = initial_guess(scaled, p, amplitude_bound=bound).as_vector().reshape(p, 4)[:, 2:].ravel()
     result = estimator._rescue_missed_components(
-        estimator._robustly_preprocessed(scaled), profile, result=profile.minimize(start),
-        bounds=[(0.0, np.pi)] * (2 * p), cfg=None, profile=profile,
+        estimator._robustly_preprocessed(scaled), profile, result=profile.minimize(start)
     )
     return math.ldexp(lse_objective_vec(profile.vector(result.best_point), scaled), 2 * k)
 
@@ -981,8 +1012,9 @@ def fit_record(report):
 class TestDefaultFitConfig:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_lad_uses_adaptive_coefficients_without_restart(self, p):
+        # The retired LAD simplex, kept as the oracle of the LAD descent.
         grid = Grid(25, 40)
-        cfg = estimator.default_fit_config(p, grid)
+        cfg = simplex.default_fit_config(p, grid)
         n = 4 * p
         assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (
             1.0, 1.0 + 2.0 / n, 0.75 - 1.0 / (2 * n), 1.0 - 1.0 / n
@@ -997,27 +1029,121 @@ class TestDefaultFitConfig:
 
     @pytest.mark.parametrize("method", ["lad", "lse"])
     def test_fit_runs_the_default_for_its_method(self, two_component_truth, method, monkeypatch):
-        # LAD runs the default simplex; LSE runs its Newton descent and no simplex.
-        configs = []
-
-        def recording(objective, initial, bounds, config):
-            configs.append(config)
-            return nelder_mead(objective, initial, bounds, config)
-
-        monkeypatch.setattr(estimator, "nelder_mead", recording)
+        # LAD runs its linear programming descent, LSE its Newton descent.
+        calls = []
+        for descent in (estimator._LeastAbsoluteFit, estimator._LeastSquaresProfile):
+            def recording(self, start, minimize=descent.minimize, name=descent.__name__):
+                calls.append(name)
+                return minimize(self, start)
+            monkeypatch.setattr(descent, "minimize", recording)
         data = noisy_observation(two_component_truth, Grid(20, 20), NoiseSpec("t1"), 3)
         fit(data, 2, method=method)
-        if method == "lse":
-            assert configs == []
-        else:
-            assert configs and all(c == estimator.default_fit_config(2, data.grid) for c in configs)
+        want = "_LeastAbsoluteFit" if method == "lad" else "_LeastSquaresProfile"
+        assert calls and set(calls) == {want}
+
+
+class TestLeastAbsoluteDescent:
+    """``_LeastAbsoluteFit.minimize``, the LAD fit's successive linear
+    programming descent, and what it reports."""
+
+    def test_trust_region_is_the_former_simplex_step(self):
+        for grid in (Grid(25, 40), Grid(16, 16)):
+            descent = estimator._LeastAbsoluteFit(SignalField(grid, np.zeros((grid.T, grid.S))), 1.0)
+            assert descent.unit.tolist() == simplex.default_fit_config(1, grid).initial_step
+
+    def test_coordinate_on_a_bound_whose_step_points_out_stays(self):
+        # The field's frequency mu = -0.02 lies outside the box, so the
+        # descent from mu = 0 wants to step out there and must stay on it.
+        rng = np.random.default_rng(8)
+        grid = Grid(20, 20)
+        surface = estimator.model_grid_values(
+            np.array([2.0, 1.0, 1.3, -0.02]), grid.t_values(), grid.s_values()
+        )
+        data = SignalField(grid, surface + 0.1 * rng.normal(size=(20, 20)))
+        start = np.array([2.0, 1.0, 1.3, 0.0])
+        result = estimator._LeastAbsoluteFit(data, 1e6).minimize(start)
+        assert result.best_point[3] == 0.0 and result.converged
+        assert result.best_value < lad_objective_vec(start, data)
+        assert abs(result.best_point[2] - 1.3) < 0.01
+
+    def test_step_cap_reports_not_converged(self, one_component_truth, monkeypatch):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 1)
+        assert fit(data, 1).iterations > 1
+        monkeypatch.setattr(estimator, "REFINE_MAX_STEPS", 1)
+        report = fit(data, 1)
+        assert (report.iterations, report.converged, report.termination) == (1, False, "maxiter")
+        assert "optimizer hit the iteration limit" in report.diagnostics
+
+    def test_a_step_that_gains_too_little_ends_the_descent(self, two_component_truth, monkeypatch):
+        # With the tolerance at 1 every step gains too little.
+        data = noisy_observation(two_component_truth, Grid(50, 50), NoiseSpec("t1"), 2)
+        start = initial_guess(data, 2).as_vector()
+        monkeypatch.setattr(estimator, "LAD_F_TOLERANCE", 1.0)
+        result = estimator._LeastAbsoluteFit(data, 1e6).minimize(start)
+        assert (result.iterations, result.converged, result.termination) == (1, True, "ftol")
+        assert result.best_value < lad_objective_vec(start, data)
+
+    def test_singular_vertex_ends_the_descent(self, one_component_truth, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(estimator, "l1_vertex", singular)
+        data = noisy_observation(one_component_truth, Grid(20, 20), NoiseSpec("gaussian", 0.1), 1)
+        start = one_component_truth.as_vector()
+        result = estimator._LeastAbsoluteFit(data, 1e6).minimize(start)
+        assert (result.iterations, result.converged, result.termination) == (0, True, "singular")
+        assert result.best_point.tobytes() == start.tobytes()
+        assert fit(data, 1).termination == "singular"
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [(2.4, 1.4, 0.0, 0.0), (1.0, 0.5, 1.1, 1.9)],  # a component on a corner
+            [(2.4, 1.4, np.pi, 0.0), (1.0, 0.5, 1.1, 1.9)],
+            [(2.4, 1.4, 0.4, 0.6), (1.0, 0.5, 0.4, 0.6 + 1e-12)],  # collapsed components
+            [(0.0, 0.0, 0.4, 0.6), (1.0, 0.5, 1.1, 1.9)],  # zero amplitude
+        ],
+        ids=["corner", "corner-pi", "collapsed", "zero-amplitude"],
+    )
+    def test_degenerate_start_fits_or_raises_fit_error(self, method, components):
+        # No LinAlgError or ValueError escapes.  Convergence is not asked
+        # for: at (pi, 0) sin(lam t + mu s) is about (-1)^t mu s, so B mu is
+        # all the data fix, and B can grow along that valley to the box.
+        truth = ModelParams(tuple(ComponentParams(*c) for c in components))
+        data = noisy_observation(truth, Grid(16, 16), NoiseSpec("gaussian", 0.1), 4)
+        try:
+            report = fit(data, 2, method=method, init=truth)
+        except FitError:
+            return
+        assert np.all(np.isfinite(report.params_hat.as_vector()))
+        assert math.isfinite(report.objective_value)
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    def test_report_carries_evaluations_and_termination(self, two_component_truth, method):
+        data = noisy_observation(two_component_truth, Grid(20, 20), NoiseSpec("t1"), 3)
+        report = fit(data, 2, method=method)
+        assert report.evaluations > report.iterations >= 1
+        assert report.termination in {"xtol", "ftol", "stationary", "stalled", "singular"}
+        bare = dataclasses.replace(report, evaluations=0, termination="")
+        assert report_to_csv(bare) == report_to_csv(report)
+        assert report_to_text(bare) == report_to_text(report)
+
+    def test_ends_at_or_below_textbook_simplex_with_restart_on_16x16_t1(self, two_component_truth):
+        # The adaptive simplex stopped short here (1.8e-5 above the textbook
+        # simplex with its restart, on the data scaled as fit scales it).
+        data = noisy_observation(two_component_truth, Grid(16, 16), NoiseSpec("t1"), 5)
+        textbook = simplex_fit(data, 2, textbook_fit_config(2, data.grid))
+        assert simplex_fit(data, 2, simplex.default_fit_config(2, data.grid)) > textbook
+        assert fit(data, 2).objective_value <= textbook
 
 
 class TestAdaptiveSimplexQuality:
-    """The adaptive LAD simplex ends no further above a reference minimum, in
-    the median over a committed seed set, than the textbook one with a
-    restart, both on the data scaled as ``fit`` scales it.  The table in
-    ``default_fit_config``'s docstring comes from the same runs."""
+    """The LAD descent against the retired adaptive simplex, both from
+    ``initial_guess`` on the data scaled as ``fit`` scales it, on a
+    committed seed set: it ends at or below the simplex on every p=1
+    gaussian field and within 1e-12 relative of it, or lower, on 90% of the
+    t1 fields, never at its step cap, and with fewer evaluations at most."""
 
     SEEDS = range(12)
 
@@ -1030,33 +1156,26 @@ class TestAdaptiveSimplexQuality:
         ],
         ids=["p1-25-gaussian", "p2-50-t1", "p3-40-t1"],
     )
-    def test_median_gap_no_larger_than_textbook_with_restart(self, truth, n, noise):
+    def test_descent_at_or_below_simplex(self, truth, n, noise):
         p = truth.p
-        adaptive_gaps, textbook_gaps = [], []
+        gaps, descents, simplexes = [], [], []
         for seed in self.SEEDS:
             data = noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
-            # The simplexes run on the data times 2^-k, as inside ``fit``.
             k = estimator._scale_exponent(data.values)
             data = SignalField(data.grid, np.ldexp(data.values, -k))
-            objective = lambda th: lad_objective_vec(th, data)
             bound = math.ldexp(1e6, -k)
-            bounds = [(-bound, bound), (-bound, bound), (0.0, np.pi), (0.0, np.pi)] * p
             start = initial_guess(data, p, amplitude_bound=bound).as_vector()
-            adaptive_cfg = estimator.default_fit_config(p, data.grid)
-            textbook_cfg = textbook_fit_config(p, data.grid)
-            adaptive = nelder_mead(objective, start, bounds, adaptive_cfg)
-            textbook = nelder_mead(objective, start, bounds, textbook_cfg)
-            # Reference: twelve restarts of each simplex from the better end.
-            best = min(adaptive, textbook, key=lambda r: r.best_value)
-            ref = nelder_mead(
-                objective, best.best_point, bounds, dataclasses.replace(adaptive_cfg, restarts=12)
-            )
-            ref = nelder_mead(
-                objective, ref.best_point, bounds, dataclasses.replace(textbook_cfg, restarts=12)
-            )
-            adaptive_gaps.append(adaptive.best_value / ref.best_value - 1.0)
-            textbook_gaps.append(textbook.best_value / ref.best_value - 1.0)
-        assert np.median(adaptive_gaps) <= np.median(textbook_gaps)
+            descent = estimator._LeastAbsoluteFit(data, bound).minimize(start)
+            oracle = SimplexDescent(data, bound, simplex.default_fit_config(p, data.grid)).minimize(start)
+            gaps.append(descent.best_value / oracle.best_value - 1.0)
+            descents.append(descent)
+            simplexes.append(oracle)
+        gaps = np.array(gaps)
+        if noise.startswith("gaussian"):
+            assert np.all(gaps <= 0.0)
+        assert np.mean(gaps <= 1e-12) >= 0.9
+        assert all(r.converged for r in descents)
+        assert max(r.evaluations for r in descents) < max(r.evaluations for r in simplexes)
 
 
 class TestMatching:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,14 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lad2d
-from lad2d import Grid, SimplexConfig, nelder_mead, synthesize_signal
+from lad2d import Grid, synthesize_signal
 from lad2d.objective import lad_objective_vec
-from lad2d.optimizer import (
-    OptimResult,
+from lad2d.optimizer import OptimResult, l1_vertex
+from simplex import (
+    SimplexConfig,
     _centroid,
     _clamped,
     _diameter_below,
     adaptive_coefficients,
+    nelder_mead,
 )
 
 
@@ -510,7 +513,7 @@ import math
 
 import numpy as np
 
-from lad2d import SimplexConfig
+from simplex import SimplexConfig
 
 
 def run(minimize):
@@ -535,13 +538,14 @@ def run(minimize):
 def test_same_run_under_python_optimize():
     script = OPTIMIZED_CASE + (
         "import json\n"
-        "from lad2d import nelder_mead\n"
+        "from simplex import nelder_mead\n"
         "if __debug__:\n"
         "    raise SystemExit('asserts are on')\n"
         "print(json.dumps(run(nelder_mead)))\n"
     )
     src = str(Path(lad2d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     completed = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
@@ -550,3 +554,74 @@ def test_same_run_under_python_optimize():
     expected = namespace["run"](reference_nelder_mead)
     assert len(expected["points"]) > 50
     assert json.loads(completed.stdout) == expected
+
+
+# --- The exact linear L1 solver of the LAD descent.
+
+
+def l1_by_enumeration(A, b, lower, upper):
+    """The least sum |b - A x| over every vertex of the box-constrained
+    problem: each nonsingular choice of m rows among A's and the box's."""
+    m = A.shape[1]
+    rows = list(zip(A, b)) + [(row, v) for bound in (lower, upper) for row, v in zip(np.eye(m), bound)]
+    best = math.inf
+    for chosen in itertools.combinations(rows, m):
+        basis, values = np.array([r for r, _ in chosen]), np.array([v for _, v in chosen])
+        if abs(np.linalg.det(basis)) < 1e-9:
+            continue
+        x = np.linalg.solve(basis, values)
+        if np.all(x >= lower - 1e-9) and np.all(x <= upper + 1e-9):
+            best = min(best, float(np.abs(b - A @ x).sum()))
+    return best
+
+
+@st.composite
+def l1_problems(draw):
+    """(A, b, lower, upper, preferred): normal entries, so no two residual
+    ratios tie, a box around 0 with a face through 0 now and then, and some
+    rows (data or bounds) to start from."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 9))
+    lower, upper = -rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
+    if draw(st.booleans()):
+        lower[0] = 0.0
+    preferred = rng.permutation(n + 2 * m)[: draw(st.integers(0, m))]
+    return rng.normal(size=(n, m)), rng.normal(size=n), lower, upper, preferred
+
+
+class TestL1Vertex:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=l1_problems())
+    def test_matches_vertex_enumeration(self, problem):
+        A, b, lower, upper, preferred = problem
+        x, rows = l1_vertex(A, b, lower, upper, preferred)
+        assert np.all(x >= lower) and np.all(x <= upper)
+        want = l1_by_enumeration(A, b, lower, upper)
+        assert np.abs(b - A @ x).sum() <= want + 1e-9 * (1.0 + want)
+        # The rows returned are zero at x: data rows, then the upper and lower bounds.
+        n, m = A.shape
+        at = np.concatenate([b - A @ x, upper - x, lower - x])
+        assert len(set(rows.tolist())) == m
+        np.testing.assert_allclose(at[rows], 0.0, atol=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(problem=l1_problems())
+    def test_warm_start_from_the_optimum_stays(self, problem):
+        A, b, lower, upper, _ = problem
+        x, rows = l1_vertex(A, b, lower, upper)
+        again, same = l1_vertex(A, b, lower, upper, rows)
+        assert again.tobytes() == x.tobytes() and same.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_rows_stay_in_the_box(self, seed):
+        # Integer data ties residual ratios: the walk may stop at a vertex
+        # that is not optimal, but never outside the box or with an error.
+        rng = np.random.default_rng(seed)
+        A = rng.integers(-2, 3, size=(8, 3)).astype(float)
+        A[:, 1] = 0.0 if seed % 2 else A[:, 1]
+        b = rng.integers(-2, 3, size=8).astype(float)
+        lower, upper = -np.ones(3), np.ones(3)
+        x, rows = l1_vertex(A, b, lower, upper)
+        assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
+        assert np.all(np.isfinite(x))
