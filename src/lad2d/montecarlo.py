@@ -293,8 +293,18 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     ``seed`` and ``methods`` (comma list).  Any other key raises
     ``ValueError`` naming it: ``fit`` sizes its descent and lattice from p,
     the grid and the method, and :func:`run_experiment` fixes which
-    non-converged fits count.  Lines starting with '#' are comments.
+    non-converged fits count.  A ``truth.*``, ``reps`` or ``seed`` value
+    that is not a number raises ``ValueError`` naming the key and the
+    value.  Lines starting with '#' are comments.
     """
+
+    def number(key: str, value: str, kind: type[int] | type[float]) -> int | float:
+        try:
+            return kind(value)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a number"
+            raise ValueError(f"config key {key!r} needs {wanted}, got {value!r}") from None
+
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -313,7 +323,7 @@ def read_experiment_config(text: str) -> ExperimentSpec:
             for prefix in ("lambda", "mu", "A", "B"):
                 if tail.startswith(prefix) and tail[len(prefix) :].isdigit():
                     k = int(tail[len(prefix) :])
-                    truth_fields.setdefault(k, {})[prefix] = float(value)
+                    truth_fields.setdefault(k, {})[prefix] = number(key, value, float)
                     break
             else:
                 raise ValueError(f"unknown truth key {key!r}")
@@ -344,6 +354,6 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         grids=grids,
         noise=parse_noise_spec(simple["noise"]),
         methods=tuple(m.strip() for m in simple["methods"].split(",") if m.strip()),
-        replications=int(simple["reps"]),
-        base_seed=int(simple["seed"]),
+        replications=number("reps", simple["reps"], int),
+        base_seed=number("seed", simple["seed"], int),
     )

@@ -1,7 +1,8 @@
-"""The Nelder-Mead downhill simplex the LAD fit ran before its successive
-linear programming descent, kept as the oracle the descent is measured
-against (``TestAdaptiveSimplexQuality``) and checked against its numpy form
-(``test_optimizer.py``).
+"""The Nelder-Mead downhill simplex (Nelder and Mead 1965), kept as a test
+oracle: the LAD fit ran it before its successive linear programming descent,
+and ``TestAdaptiveSimplexQuality`` measures that descent against it.  The
+profiled LSE fit and the peak refinement ran it too; their oracles in
+``test_estimator.py`` call the same loop.
 
 Written for nonsmooth objectives (mean absolute residual): trial points are
 clamped to the box rather than penalized, and an optional restart rebuilds the
@@ -11,24 +12,16 @@ on kinked surfaces.  ``SimplexConfig`` defaults to the textbook coefficients
 Han's dimension-scaled ones, which the former 4p-dimensional LAD fit used with
 no restart (``default_fit_config``).
 
-The vertices are kept best first, as lists of Python floats.  Ties are broken
-stably (Lagarias et al. 1998): a vertex that replaces the worst one is
-inserted after every vertex with an equal value, so an older vertex always
-ranks before a newer one of the same value; after a shrink or a restart, the
-only steps that replace several vertices, one stable sort restores the order.
-The arithmetic is the numpy form's, coordinate by coordinate: the centroid is
-summed from 0.0 over the vertices in rank order and divided by the dimension,
-and a trial point is clamped below and then above, an equal bound winning the
-tie.  Runs are reproducible bit for bit.
+The vertices are the rows of one array, sorted best first by a stable sort
+at the top of every iteration.  A new vertex takes the worst row, so it ranks
+after every older vertex of the same value (the tie rule of Lagarias et al.
+1998).  Runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,36 +84,22 @@ def adaptive_coefficients(n: int) -> dict[str, float]:
     }
 
 
-def _clamped(point: list[float], lo: list[float], hi: list[float]) -> list[float]:
-    """``np.minimum(np.maximum(point, lo), hi)``: a NaN coordinate stays NaN
-    and a bound equal to the coordinate (a signed zero) replaces it."""
-    out = []
-    for x, low, high in zip(point, lo, hi):
-        if x <= low:
-            x = low
-        if x >= high:
-            x = high
-        out.append(x)
-    return out
+def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, lo), hi)
 
 
-def _centroid(vertices: list[list[float]]) -> list[float]:
-    """``np.mean(vertices, axis=0)``: each coordinate summed from 0.0 in
-    vertex order, then divided by the vertex count.  (The builtin ``sum``
-    compensates float sums from Python 3.12 on, so it is not used.)"""
-    count = len(vertices)
-    return [reduce(add, coords, 0.0) / count for coords in zip(*vertices)]
-
-
-def _diameter_below(vertices: list[list[float]], tolerance: float) -> bool:
-    """``np.max(np.abs(vertices[1:] - vertices[0])) < tolerance``, stopping
-    at the first distance that is not below (a NaN distance is not)."""
-    best = vertices[0]
-    for vertex in vertices[1:]:
-        for x, b in zip(vertex, best):
-            if not abs(x - b) < tolerance:
-                return False
-    return True
+def _initial_simplex(
+    x0: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    n = x0.size
+    simplex = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        step = steps[i]
+        # Step away from a boundary rather than into it.
+        if x0[i] + step > hi[i]:
+            step = -step
+        simplex[i + 1, i] = min(max(x0[i] + step, lo[i]), hi[i])
+    return simplex
 
 
 def nelder_mead(
@@ -133,8 +112,7 @@ def nelder_mead(
 
     Non-finite objective values encountered mid-run are treated as +inf (the
     trial point is simply rejected); a non-finite value at the initial point is
-    an error.  The best vertex value is non-increasing over iterations.  Each
-    call of ``objective`` gets a fresh float64 array.
+    an error.  The best vertex value is non-increasing over iterations.
     """
     cfg = config or SimplexConfig()
     x0 = np.asarray(initial, dtype=float).copy()
@@ -149,7 +127,7 @@ def nelder_mead(
             raise ValueError(f"need {n} bound pairs, got {len(bounds)}")
         lo = np.array([b[0] for b in bounds], dtype=float)
         hi = np.array([b[1] for b in bounds], dtype=float)
-        if not np.all(lo <= hi):
+        if not np.all(lo <= hi):  # False for a NaN bound
             raise ValueError("each bound must satisfy lo <= hi")
         if np.any(x0 < lo) or np.any(x0 > hi):
             raise ValueError("initial point must lie inside the bounds")
@@ -157,49 +135,37 @@ def nelder_mead(
     if np.any(steps <= 0):
         raise ValueError("initial steps must be positive")
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 2000 * n
-    lo_list, hi_list, step_list = lo.tolist(), hi.tolist(), steps.tolist()
-    reflection, expansion = float(cfg.reflection), float(cfg.expansion)
-    contraction, shrink = float(cfg.contraction), float(cfg.shrink)
 
     evaluations = 1  # the initial point, evaluated directly below
 
-    def f(x: list[float]) -> float:
+    def f(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        value = float(objective(np.array(x)))
+        value = float(objective(x))
         return value if not math.isnan(value) else math.inf
-
-    def clamp(x: list[float]) -> list[float]:
-        return x if bounds is None else _clamped(x, lo_list, hi_list)
-
-    def ranked(vertices: list[list[float]], values: list[float]):
-        order = sorted(range(n + 1), key=values.__getitem__)  # stable
-        return [vertices[i] for i in order], [values[i] for i in order]
-
-    def initial_simplex(best: list[float], f_best: float):
-        vertices = [best]
-        for i in range(n):
-            step = step_list[i]
-            # Step away from a boundary rather than into it.
-            if best[i] + step > hi_list[i]:
-                step = -step
-            vertex = list(best)
-            vertex[i] = min(max(best[i] + step, lo_list[i]), hi_list[i])
-            vertices.append(vertex)
-        return ranked(vertices, [f_best] + [f(v) for v in vertices[1:]])
 
     f0 = float(objective(x0))
     if not math.isfinite(f0):
         raise ValueError(f"objective is not finite at the initial point: {f0}")
 
-    vertices, values = initial_simplex(x0.tolist(), f0)
+    simplex = _initial_simplex(x0, steps, lo, hi)
+    values = np.array([f0] + [f(v) for v in simplex[1:]])
+
     iterations = 0
     termination = "maxiter"
     restarts_left = cfg.restarts
+    best_seen = math.inf
 
     while True:
+        order = np.argsort(values, kind="stable")
+        simplex = simplex[order]
+        values = values[order]
+        # Best vertex is only ever replaced by something at least as good.
+        assert values[0] <= best_seen or math.isinf(best_seen)
+        best_seen = values[0]
+
         phase_done = None
-        if _diameter_below(vertices, cfg.x_tolerance):
+        if np.max(np.abs(simplex[1:] - simplex[0])) < cfg.x_tolerance:
             phase_done = "xtol"
         elif values[-1] - values[0] < cfg.f_tolerance:
             phase_done = "ftol"
@@ -210,50 +176,50 @@ def nelder_mead(
             if phase_done != "maxiter" and restarts_left > 0:
                 # Rebuild a fresh simplex at the incumbent and keep going.
                 restarts_left -= 1
-                vertices, values = initial_simplex(vertices[0], values[0])
+                simplex = _initial_simplex(simplex[0], steps, lo, hi)
+                keep = values[0]
+                values = np.array([keep] + [f(v) for v in simplex[1:]])
                 continue
             termination = phase_done
             break
 
         iterations += 1
-        worst, f_worst = vertices.pop(), values.pop()
-        centroid = _centroid(vertices)
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        f_worst = values[-1]
 
-        reflected = clamp([c + reflection * (c - w) for c, w in zip(centroid, worst)])
+        reflected = _clamp(centroid + cfg.reflection * (centroid - worst), lo, hi)
         f_reflected = f(reflected)
 
         if f_reflected < values[0]:
-            expanded = clamp([c + expansion * (r - c) for c, r in zip(centroid, reflected)])
+            expanded = _clamp(centroid + cfg.expansion * (reflected - centroid), lo, hi)
             f_expanded = f(expanded)
             if f_expanded < f_reflected:
-                new, f_new = expanded, f_expanded
+                simplex[-1], values[-1] = expanded, f_expanded
             else:
-                new, f_new = reflected, f_reflected
-        elif f_reflected < values[-1]:
-            new, f_new = reflected, f_reflected
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
         else:
             if f_reflected < f_worst:  # outside contraction
-                new = clamp([c + contraction * (r - c) for c, r in zip(centroid, reflected)])
-                f_new = f(new)
-                accept = f_new <= f_reflected
+                contracted = _clamp(centroid + cfg.contraction * (reflected - centroid), lo, hi)
+                f_contracted = f(contracted)
+                accept = f_contracted <= f_reflected
             else:  # inside contraction
-                new = clamp([c + contraction * (w - c) for c, w in zip(centroid, worst)])
-                f_new = f(new)
-                accept = f_new < f_worst
-            if not accept:
+                contracted = _clamp(centroid + cfg.contraction * (worst - centroid), lo, hi)
+                f_contracted = f(contracted)
+                accept = f_contracted < f_worst
+            if accept:
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
                 # Shrink everything toward the best vertex (stays in the box).
-                best = vertices[0]
-                vertices.append(worst)
-                shrunk = [[b + shrink * (x - b) for x, b in zip(v, best)] for v in vertices[1:]]
-                vertices, values = ranked([best] + shrunk, [values[0]] + [f(v) for v in shrunk])
-                continue
-        at = bisect_right(values, f_new)
-        values.insert(at, f_new)
-        vertices.insert(at, new)
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + cfg.shrink * (simplex[i] - simplex[0])
+                    values[i] = f(simplex[i])
 
     return OptimResult(
-        best_point=np.array(vertices[0]),
-        best_value=values[0],
+        best_point=simplex[0].copy(),
+        best_value=float(values[0]),
         iterations=iterations,
         converged=termination != "maxiter",
         termination=termination,

@@ -36,8 +36,7 @@ from lad2d.optimizer import OptimResult
 from lad2d.theory import periodogram
 
 from conftest import random_model
-import simplex
-from simplex import SimplexConfig, nelder_mead
+from simplex import SimplexConfig, default_fit_config, nelder_mead
 
 
 def inverse_block_diagonal_oracle(A: float, B: float) -> tuple[float, float, float]:
@@ -461,6 +460,16 @@ def refinement_fields(draw):
 
 
 
+def refinement_value(field, lam, mu):
+    """The periodogram ``_refine_peak_frequency`` climbs: that of the field
+    divided by its largest |value|, at (lam, mu) clipped into the box."""
+    y = field.values / float(np.max(np.abs(field.values)))
+    t, s = field.grid.t_values(), field.grid.s_values()
+    tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
+    x = (estimator._into_box(float(lam)), estimator._into_box(float(mu)))
+    return estimator._periodogram_derivatives(y, tp, sp, x)[0]
+
+
 class TestRefinePeakFrequency:
     @settings(max_examples=60, deadline=None)
     @given(case=refinement_fields())
@@ -471,8 +480,9 @@ class TestRefinePeakFrequency:
             got = estimator._refine_peak_frequency(field, lam, mu)
             old = nelder_mead_refinement(field, lam, mu)
             assert all(0.0 <= v <= np.pi for v in got)
+            # The ascent never accepts a lower value of its own objective.
+            assert refinement_value(field, *got) >= refinement_value(field, lam, mu)
             value = periodogram(field, *got)
-            assert value >= periodogram(field, lam, mu)
             old_value = periodogram(field, *old)
             assert value >= old_value * (1.0 - 1e-12)
             # Once clamping puts every vertex of the simplex on a bound, it
@@ -671,12 +681,17 @@ class SimplexDescent(estimator._LeastAbsoluteFit):
         return nelder_mead(self, start, bounds, self.config)
 
 
+def fit_scaled(data):
+    """``fit``'s scale rule: the data and the default amplitude bound times
+    2^-k, and k (``estimator._scale_exponent``)."""
+    k = estimator._scale_exponent(data.values)
+    return SignalField(data.grid, np.ldexp(data.values, -k)), math.ldexp(1e6, -k), k
+
+
 def simplex_fit(data, p, config):
     """The former LAD fit by the simplex ``config`` on the data times 2^-k,
     with the rescue pass; returns the objective at the data's scale."""
-    k = estimator._scale_exponent(data.values)
-    scaled = SignalField(data.grid, np.ldexp(data.values, -k))
-    bound = math.ldexp(1e6, -k)
+    scaled, bound, k = fit_scaled(data)
     descent = SimplexDescent(scaled, bound, config)
     start = initial_guess(scaled, p, amplitude_bound=bound).as_vector()
     result = estimator._rescue_missed_components(
@@ -726,9 +741,7 @@ def profiled_simplex_fit(data, p):
     """The former LSE fit: the profiled simplex over the 2p frequencies on
     the data times 2^-k, then the rescue pass with that simplex; returns
     the objective at the data's scale."""
-    k = estimator._scale_exponent(data.values)
-    scaled = SignalField(data.grid, np.ldexp(data.values, -k))
-    bound = math.ldexp(1e6, -k)
+    scaled, bound, k = fit_scaled(data)
     profile = SimplexProfile(scaled, bound)
     start = initial_guess(scaled, p, amplitude_bound=bound).as_vector().reshape(p, 4)[:, 2:].ravel()
     result = estimator._rescue_missed_components(
@@ -931,13 +944,20 @@ def dense_profile_derivatives(field, freqs):
 @st.composite
 def near_bound_frequency_fields(draw):
     """A ``separated_frequency_fields`` case with one frequency of the first
-    component moved onto or next to 0 or pi (the others stay clear of the
-    corners)."""
+    component moved onto or next to 0 or pi.  Only a frequency whose partner
+    lies half a lobe or more from 0 and pi moves (one of the two always
+    does, as the draw is half a lobe from every corner), so every component
+    stays clear of the corners, where the profile's curvature is too large
+    for the central differences of ``check_derivatives``."""
     field, freqs = draw(separated_frequency_fields())
     edge = draw(st.sampled_from([0.0, np.pi]))
     offset = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    half_lobe = np.pi / min(field.grid.T, field.grid.S)
+    movable = [
+        axis for axis in (0, 1) if min(freqs[0, 1 - axis], np.pi - freqs[0, 1 - axis]) >= half_lobe
+    ]
     freqs = freqs.copy()
-    freqs[0, draw(st.integers(0, 1))] = edge + (offset if edge == 0.0 else -offset)
+    freqs[0, draw(st.sampled_from(movable))] = edge + (offset if edge == 0.0 else -offset)
     vec = np.column_stack([np.ones((len(freqs), 2)), freqs]).ravel()
     t, s = field.grid.t_values(), field.grid.s_values()
     return SignalField(field.grid, field.values + estimator.model_grid_values(vec, t, s)), freqs
@@ -947,7 +967,8 @@ class TestProfileNewton:
     """``_LeastSquaresProfile.derivatives`` and the Newton descent of the LSE fit."""
 
     @staticmethod
-    def check_derivatives(field, freqs):
+    def check_derivatives(field, freqs, central=True):
+        """Against the dense formulas and, if ``central``, central differences."""
         x = freqs.ravel()
         profile = estimator._LeastSquaresProfile(field, 1e6)
         value, grad, hess = profile.derivatives(x)
@@ -959,10 +980,12 @@ class TestProfileNewton:
         assert abs(value - want_value) <= lse_floor(field)
         np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-9 * scale * size)
         np.testing.assert_allclose(hess, want_hess, rtol=0.0, atol=1e-9 * scale * size**2)
+        if not central:
+            return
         h = 1e-6 / size
         steps = h * np.eye(x.size)
-        central = np.array([(profile(x + e) - profile(x - e)) / (2 * h) for e in steps])
-        np.testing.assert_allclose(central, grad, rtol=0.0, atol=1e-5 * scale * size)
+        first = np.array([(profile(x + e) - profile(x - e)) / (2 * h) for e in steps])
+        np.testing.assert_allclose(first, grad, rtol=0.0, atol=1e-5 * scale * size)
         second = np.array(
             [(profile.derivatives(x + e)[1] - profile.derivatives(x - e)[1]) / (2 * h) for e in steps]
         )
@@ -977,6 +1000,18 @@ class TestProfileNewton:
     @given(case=near_bound_frequency_fields())
     def test_derivatives_next_to_a_bound(self, case):
         self.check_derivatives(*case)
+
+    def test_dense_formulas_next_to_a_corner(self):
+        # A drawn case with lam moved onto pi while mu is 9.8e-4, next to the
+        # corner (pi, 0).  H_lam,lam is -1.1e5 there, 490 times the scale
+        # (mean square times size^2) whose 1e-5 bounds the central
+        # differences, and their truncation error exceeds that bound.
+        grid, mu = Grid(8, 8), 9.802874008866828e-4
+        t, s = grid.t_values(), grid.s_values()
+        drawn = np.array([-1.530049522392381, 2.0192309112678473, 0.5049206455975674, mu])
+        moved = np.array([1.0, 1.0, np.pi, mu])
+        values = estimator.model_grid_values(drawn, t, s) + estimator.model_grid_values(moved, t, s)
+        self.check_derivatives(SignalField(grid, values), np.array([[np.pi, mu]]), central=False)
 
     @pytest.mark.parametrize(
         "truth,n,sigma,seeds",
@@ -1009,26 +1044,14 @@ def fit_record(report):
     )
 
 
-class TestDefaultFitConfig:
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_lad_uses_adaptive_coefficients_without_restart(self, p):
-        # The retired LAD simplex, kept as the oracle of the LAD descent.
-        grid = Grid(25, 40)
-        cfg = simplex.default_fit_config(p, grid)
-        n = 4 * p
-        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (
-            1.0, 1.0 + 2.0 / n, 0.75 - 1.0 / (2 * n), 1.0 - 1.0 / n
-        )
-        assert cfg.restarts == 0
-        assert cfg.initial_step == [0.1, 0.1, 0.5 / 25, 0.5 / 25] * p
-
+class TestMethodDispatch:
     def test_unknown_method_rejected(self, one_component_truth):
         data = synthesize_signal(one_component_truth, Grid(16, 16))
         with pytest.raises(ValueError, match="unknown method"):
             fit(data, 1, method="l1")
 
     @pytest.mark.parametrize("method", ["lad", "lse"])
-    def test_fit_runs_the_default_for_its_method(self, two_component_truth, method, monkeypatch):
+    def test_fit_runs_the_descent_for_its_method(self, two_component_truth, method, monkeypatch):
         # LAD runs its linear programming descent, LSE its Newton descent.
         calls = []
         for descent in (estimator._LeastAbsoluteFit, estimator._LeastSquaresProfile):
@@ -1049,7 +1072,7 @@ class TestLeastAbsoluteDescent:
     def test_trust_region_is_the_former_simplex_step(self):
         for grid in (Grid(25, 40), Grid(16, 16)):
             descent = estimator._LeastAbsoluteFit(SignalField(grid, np.zeros((grid.T, grid.S))), 1.0)
-            assert descent.unit.tolist() == simplex.default_fit_config(1, grid).initial_step
+            assert descent.unit.tolist() == default_fit_config(1, grid).initial_step
 
     def test_coordinate_on_a_bound_whose_step_points_out_stays(self):
         # The field's frequency mu = -0.02 lies outside the box, so the
@@ -1134,7 +1157,7 @@ class TestLeastAbsoluteDescent:
         # simplex with its restart, on the data scaled as fit scales it).
         data = noisy_observation(two_component_truth, Grid(16, 16), NoiseSpec("t1"), 5)
         textbook = simplex_fit(data, 2, textbook_fit_config(2, data.grid))
-        assert simplex_fit(data, 2, simplex.default_fit_config(2, data.grid)) > textbook
+        assert simplex_fit(data, 2, default_fit_config(2, data.grid)) > textbook
         assert fit(data, 2).objective_value <= textbook
 
 
@@ -1160,13 +1183,12 @@ class TestAdaptiveSimplexQuality:
         p = truth.p
         gaps, descents, simplexes = [], [], []
         for seed in self.SEEDS:
-            data = noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
-            k = estimator._scale_exponent(data.values)
-            data = SignalField(data.grid, np.ldexp(data.values, -k))
-            bound = math.ldexp(1e6, -k)
+            data, bound, _ = fit_scaled(
+                noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
+            )
             start = initial_guess(data, p, amplitude_bound=bound).as_vector()
             descent = estimator._LeastAbsoluteFit(data, bound).minimize(start)
-            oracle = SimplexDescent(data, bound, simplex.default_fit_config(p, data.grid)).minimize(start)
+            oracle = SimplexDescent(data, bound, default_fit_config(p, data.grid)).minimize(start)
             gaps.append(descent.best_value / oracle.best_value - 1.0)
             descents.append(descent)
             simplexes.append(oracle)

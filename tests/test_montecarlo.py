@@ -289,6 +289,12 @@ class TestConfig:
             ("optimizer.restarts=0", r"unknown config key 'optimizer\.restarts'"),
             ("exclude_lse_failures=yes", r"unknown config key 'exclude_lse_failures'"),
             ("exclude_lse_failures = true", r"unknown config key 'exclude_lse_failures'"),
+            # A value that is not a number names its key too.
+            ("reps = ten", r"config key 'reps' needs an integer, got 'ten'"),
+            ("reps = 1.5", r"config key 'reps' needs an integer, got '1\.5'"),
+            ("seed = x7", r"config key 'seed' needs an integer, got 'x7'"),
+            ("truth.A1 = 2.4x", r"config key 'truth\.A1' needs a number, got '2\.4x'"),
+            ("truth.mu1 =", r"config key 'truth\.mu1' needs a number, got ''"),
         ],
     )
     def test_misspelt_or_unknown_setting_is_named(self, line, message):

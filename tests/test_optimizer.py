@@ -1,28 +1,15 @@
 import itertools
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lad2d
 from lad2d import Grid, synthesize_signal
 from lad2d.objective import lad_objective_vec
-from lad2d.optimizer import OptimResult, l1_vertex
-from simplex import (
-    SimplexConfig,
-    _centroid,
-    _clamped,
-    _diameter_below,
-    adaptive_coefficients,
-    nelder_mead,
-)
+from lad2d.optimizer import l1_vertex
+from simplex import SimplexConfig, adaptive_coefficients, default_fit_config, nelder_mead
 
 
 def quadratic(x):
@@ -94,6 +81,28 @@ class TestBasics:
         with pytest.raises(ValueError, match="not finite"):
             nelder_mead(lambda x: math.inf, [0.0])
 
+    def test_ends_on_each_termination(self):
+        # A weighted L1 distance, rounded down to multiples of ``quantum``
+        # (a piecewise-constant surface full of ties) where that is nonzero.
+        def kinked(x, quantum):
+            value = float(np.abs(x - np.array([0.3, -0.2, 0.7])) @ np.array([1.0, 2.0, 0.5]))
+            return math.floor(value / quantum) * quantum if quantum else value
+
+        terminations = []
+        for max_iterations, quantum in ((5, 0.0), (None, 0.0), (None, 0.5)):
+            config = SimplexConfig(max_iterations=max_iterations, restarts=1)
+            result = nelder_mead(lambda x: kinked(x, quantum), [0.0, 0.0, 0.0], config=config)
+            terminations.append(result.termination)
+        assert terminations == ["maxiter", "xtol", "ftol"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unbounded_descent_ends_at_minus_infinity(self, n):
+        # The vertices run off to inf, and their differences to NaN.
+        config = SimplexConfig(max_iterations=2500, restarts=1)
+        for objective in (lambda x: -float(x.sum()), lambda x: -float(x[0])):
+            with np.errstate(all="ignore"):
+                assert nelder_mead(objective, [0.0] * n, config=config).best_value == -math.inf
+
 
 class TestBounds:
     def test_every_trial_point_respects_bounds(self):
@@ -152,6 +161,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n >= 2"):
             adaptive_coefficients(1)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_lad_uses_adaptive_coefficients_without_restart(self, p):
+        cfg = default_fit_config(p, Grid(25, 40))
+        n = 4 * p
+        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (
+            1.0, 1.0 + 2.0 / n, 0.75 - 1.0 / (2 * n), 1.0 - 1.0 / n
+        )
+        assert cfg.restarts == 0
+        assert cfg.initial_step == [0.1, 0.1, 0.5 / 25, 0.5 / 25] * p
+
 
 class TestOnFittingObjective:
     def test_recovers_noiseless_model_from_offset_start(self, one_component_truth):
@@ -175,385 +194,6 @@ class TestOnFittingObjective:
                 lambda th: lad_objective_vec(th, data), x0, bounds, cfg
             ).best_value
         assert values[1] <= values[0] + 1e-15
-
-
-# --- Oracle: the numpy form of the simplex loop, kept verbatim as the reference.
-
-
-def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, lo), hi)
-
-
-def _initial_simplex(
-    x0: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    n = x0.size
-    simplex = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        step = steps[i]
-        # Step away from a boundary rather than into it.
-        if x0[i] + step > hi[i]:
-            step = -step
-        simplex[i + 1, i] = min(max(x0[i] + step, lo[i]), hi[i])
-    return simplex
-
-
-def reference_nelder_mead(objective, initial, bounds=None, config=None) -> OptimResult:
-    cfg = config or SimplexConfig()
-    x0 = np.asarray(initial, dtype=float).copy()
-    n = x0.size
-    if n == 0:
-        raise ValueError("initial point must have at least one coordinate")
-    if bounds is None:
-        lo = np.full(n, -np.inf)
-        hi = np.full(n, np.inf)
-    else:
-        if len(bounds) != n:
-            raise ValueError(f"need {n} bound pairs, got {len(bounds)}")
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        if np.any(lo > hi):
-            raise ValueError("each bound must satisfy lo <= hi")
-        if np.any(x0 < lo) or np.any(x0 > hi):
-            raise ValueError("initial point must lie inside the bounds")
-    steps = np.broadcast_to(np.asarray(cfg.initial_step, dtype=float), (n,)).copy()
-    if np.any(steps <= 0):
-        raise ValueError("initial steps must be positive")
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else 2000 * n
-
-    evaluations = 1  # the initial point, evaluated directly below
-
-    def f(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        value = float(objective(x))
-        return value if not math.isnan(value) else math.inf
-
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
-        raise ValueError(f"objective is not finite at the initial point: {f0}")
-
-    simplex = _initial_simplex(x0, steps, lo, hi)
-    values = np.array([f0] + [f(v) for v in simplex[1:]])
-
-    iterations = 0
-    termination = "maxiter"
-    restarts_left = cfg.restarts
-    best_seen = math.inf
-
-    while True:
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        # Best vertex is only ever replaced by something at least as good.
-        assert values[0] <= best_seen or math.isinf(best_seen)
-        best_seen = values[0]
-
-        diameter = np.max(np.abs(simplex[1:] - simplex[0])) if n > 0 else 0.0
-        spread = values[-1] - values[0]
-        phase_done = None
-        if diameter < cfg.x_tolerance:
-            phase_done = "xtol"
-        elif spread < cfg.f_tolerance:
-            phase_done = "ftol"
-        elif iterations >= max_iter:
-            phase_done = "maxiter"
-
-        if phase_done is not None:
-            if phase_done != "maxiter" and restarts_left > 0:
-                # Rebuild a fresh simplex at the incumbent and keep going.
-                restarts_left -= 1
-                simplex = _initial_simplex(simplex[0], steps, lo, hi)
-                keep = values[0]
-                values = np.array([keep] + [f(v) for v in simplex[1:]])
-                continue
-            termination = phase_done
-            break
-
-        iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        f_worst = values[-1]
-
-        reflected = _clamp(centroid + cfg.reflection * (centroid - worst), lo, hi)
-        f_reflected = f(reflected)
-
-        if f_reflected < values[0]:
-            expanded = _clamp(centroid + cfg.expansion * (reflected - centroid), lo, hi)
-            f_expanded = f(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < f_worst:  # outside contraction
-                contracted = _clamp(centroid + cfg.contraction * (reflected - centroid), lo, hi)
-                f_contracted = f(contracted)
-                accept = f_contracted <= f_reflected
-            else:  # inside contraction
-                contracted = _clamp(centroid + cfg.contraction * (worst - centroid), lo, hi)
-                f_contracted = f(contracted)
-                accept = f_contracted < f_worst
-            if accept:
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                # Shrink everything toward the best vertex (stays in the box).
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + cfg.shrink * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-
-    return OptimResult(
-        best_point=simplex[0].copy(),
-        best_value=float(values[0]),
-        iterations=iterations,
-        converged=termination != "maxiter",
-        termination=termination,
-        evaluations=evaluations,
-    )
-
-
-class Kinked:
-    """Weighted L1 distance to a target, optionally rounded down to a
-    multiple of ``quantum`` (a piecewise-constant surface full of ties) or
-    undefined (NaN, or +inf on odd cells) beyond a cut on the first
-    coordinate."""
-
-    def __init__(self, target, weights, quantum=0.0, cut=None):
-        self.target = np.asarray(target, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.quantum = quantum
-        self.cut = cut
-
-    def __call__(self, x):
-        if self.cut is not None and x[0] > self.cut:
-            return math.nan if int(abs(x[0]) * 1e3) % 2 == 0 else math.inf
-        value = float(np.abs(x - self.target) @ self.weights)
-        if self.quantum:
-            value = math.floor(value / self.quantum) * self.quantum
-        return value
-
-
-def traced_run(minimizer, objective, initial, bounds, config):
-    """The bytes of every point ``minimizer`` evaluates, and its result."""
-    points = []
-
-    def recorded(x):
-        points.append((x.dtype.str, x.shape, x.tobytes()))
-        return objective(x)
-
-    return points, minimizer(recorded, initial, bounds, config)
-
-
-def assert_same_run(new, reference):
-    (points, result), (ref_points, ref) = new, reference
-    assert points == ref_points
-    assert result.best_point.dtype == ref.best_point.dtype
-    assert result.best_point.tobytes() == ref.best_point.tobytes()
-    assert type(result.best_value) is float and type(ref.best_value) is float
-    assert np.float64(result.best_value).tobytes() == np.float64(ref.best_value).tobytes()
-    assert (result.iterations, result.converged, result.termination, result.evaluations) == (
-        ref.iterations, ref.converged, ref.termination, ref.evaluations
-    )
-
-
-@st.composite
-def simplex_problems(draw):
-    n = draw(st.integers(1, 12))
-    coordinate = st.floats(-3.0, 3.0, allow_nan=False)
-    bounded = draw(st.booleans())
-    bounds, initial = None, []
-    if bounded:
-        bounds = []
-        for _ in range(n):
-            lo = draw(st.sampled_from([0.0, -1.0, -math.inf, -0.5]))
-            hi = lo + draw(st.sampled_from([0.0, 0.05, 1.0, math.pi, math.inf]))
-            if math.isinf(lo):
-                hi = draw(st.sampled_from([0.0, 2.0, math.inf]))
-            bounds.append((lo, hi))
-            inside = [v for v in (lo, hi) if math.isfinite(v)]
-            if lo <= 0.0 <= hi:
-                inside += [0.0, -0.0]
-            if math.isfinite(lo) and math.isfinite(hi):
-                inside.append(lo + 0.37 * (hi - lo))
-            initial.append(draw(st.sampled_from(inside)))
-    else:
-        initial = [draw(st.one_of(coordinate, st.sampled_from([0.0, -0.0]))) for _ in range(n)]
-    target = [draw(coordinate) for _ in range(n)]
-    weights = [draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3])) for _ in range(n)]
-    kind = draw(st.sampled_from(["kinked", "ties", "undefined"]))
-    objective = Kinked(
-        target,
-        weights,
-        quantum=draw(st.sampled_from([0.5, 0.1, 1e-3])) if kind == "ties" else 0.0,
-        cut=initial[0] + draw(st.sampled_from([0.0, 0.02, 0.3])) if kind == "undefined" else None,
-    )
-    step = draw(
-        st.one_of(
-            st.sampled_from([0.1, 0.5, 1e-3]),
-            st.lists(st.sampled_from([0.1, 0.02, 2.0]), min_size=n, max_size=n),
-        )
-    )
-    coefficients = draw(
-        st.sampled_from(
-            [
-                {},
-                dict(reflection=1.0, expansion=3.0, contraction=0.25, shrink=0.75),
-                adaptive_coefficients(max(n, 2)),
-            ]
-        )
-    )
-    config = SimplexConfig(
-        max_iterations=draw(st.integers(0, 250)),
-        x_tolerance=draw(st.sampled_from([1e-9, 1e-4, 0.05])),
-        f_tolerance=draw(st.sampled_from([1e-12, 1e-6, 0.1])),
-        initial_step=step,
-        restarts=draw(st.integers(0, 2)),
-        **coefficients,
-    )
-    return objective, initial, bounds, config
-
-
-class TestMatchesReferenceLoop:
-    """The list-based loop evaluates the same points, byte for byte, and
-    returns the same result as the numpy form it replaced."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(simplex_problems())
-    def test_same_points_and_result(self, problem):
-        objective, initial, bounds, config = problem
-        assert_same_run(
-            traced_run(nelder_mead, objective, initial, bounds, config),
-            traced_run(reference_nelder_mead, objective, initial, bounds, config),
-        )
-
-    def test_ends_on_each_termination(self):
-        terminations = set()
-        for max_iterations, kind in ((5, 0.0), (None, 0.0), (None, 0.5)):
-            objective = Kinked([0.3, -0.2, 0.7], [1.0, 2.0, 0.5], quantum=kind)
-            config = SimplexConfig(max_iterations=max_iterations, restarts=1)
-            run = traced_run(nelder_mead, objective, [0.0, 0.0, 0.0], None, config)
-            assert_same_run(run, traced_run(reference_nelder_mead, objective, [0.0, 0.0, 0.0], None, config))
-            terminations.add(run[1].termination)
-        assert terminations == {"maxiter", "xtol", "ftol"}
-
-    def test_fit_objective_matches(self, one_component_truth):
-        data = synthesize_signal(one_component_truth, Grid(16, 16))
-        x0 = one_component_truth.as_vector() + np.array([0.3, -0.2, 0.01, -0.01])
-        bounds = [(-10.0, 10.0), (-10.0, 10.0), (0.0, np.pi), (0.0, np.pi)]
-        config = SimplexConfig(initial_step=[0.1, 0.1, 0.03, 0.03], max_iterations=400)
-        objective = lambda th: lad_objective_vec(th, data)  # noqa: E731
-        assert_same_run(
-            traced_run(nelder_mead, objective, x0, bounds, config),
-            traced_run(reference_nelder_mead, objective, x0, bounds, config),
-        )
-
-
-#: Coordinates where the numpy form and plain float arithmetic can part:
-#: signed zeros, NaN, infinities and sums that lose digits.
-SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e16, -1e16, 0.1])
-COORDINATE = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False, width=64))
-
-
-def nan_blind(values) -> bytes:
-    """Bytes of ``values`` with every NaN made the same: which of two NaN
-    operands a sum passes on (and so its sign bit) depends on how the
-    compiled add orders them, in numpy and in CPython alike."""
-    values = np.array(values, dtype=float)
-    values[np.isnan(values)] = math.nan
-    return values.tobytes()
-
-
-class TestHelpersMatchNumpy:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 13).flatmap(
-        lambda n: st.lists(st.lists(COORDINATE, min_size=n, max_size=n), min_size=n, max_size=n)
-    ))
-    @example(vertices=[[-0.0]])  # numpy sums from 0.0, so all -0.0 gives +0.0
-    @example(vertices=[[-0.0, 1.0], [-0.0, 2.0]])
-    def test_centroid_is_mean_over_axis_0(self, vertices):
-        with np.errstate(all="ignore"):
-            expected = np.array(vertices).mean(axis=0)
-        assert nan_blind(_centroid(vertices)) == nan_blind(expected)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(COORDINATE, SPECIAL, SPECIAL), min_size=1, max_size=13))
-    def test_clamp_is_minimum_of_maximum(self, rows):
-        rows = [(x, lo, hi) for x, lo, hi in rows if lo <= hi]  # NaN bounds are rejected
-        x, lo, hi = (list(column) for column in zip(*rows)) if rows else ([], [], [])
-        expected = np.minimum(np.maximum(np.array(x), np.array(lo)), np.array(hi))
-        assert np.array(_clamped(x, lo, hi), dtype=float).tobytes() == expected.tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(COORDINATE, min_size=n, max_size=n), min_size=n + 1, max_size=n + 1)
-    ), st.sampled_from([1e-9, 0.5, math.inf]))
-    def test_diameter_test_is_numpy_max(self, vertices, tolerance):
-        with np.errstate(all="ignore"):
-            simplex = np.array(vertices)
-            expected = np.max(np.abs(simplex[1:] - simplex[0])) < tolerance
-        assert _diameter_below(vertices, tolerance) == expected
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_runaway_to_infinity_matches(self, n):
-        # An unbounded descent drives vertices to inf and NaN coordinates.
-        config = SimplexConfig(max_iterations=2500, restarts=1)
-        for objective in (lambda x: -float(x.sum()), lambda x: -float(x[0])):
-            with np.errstate(all="ignore"):
-                run = traced_run(nelder_mead, objective, [0.0] * n, None, config)
-                reference = traced_run(reference_nelder_mead, objective, [0.0] * n, None, config)
-            assert run[1].best_value == -math.inf
-            assert_same_run(run, reference)
-
-
-#: One problem, run by ``python -O`` in a subprocess, where no assert runs.
-OPTIMIZED_CASE = """
-import math
-
-import numpy as np
-
-from simplex import SimplexConfig
-
-
-def run(minimize):
-    points = []
-
-    def objective(x):
-        points.append(x.tobytes().hex())
-        if x[0] > 0.9:
-            return math.nan
-        value = float(np.abs(x - np.array([0.3, -0.2, 0.7, 0.0])) @ np.array([1.0, 2.0, 0.5, 3.0]))
-        return math.floor(value / 0.01) * 0.01
-
-    bounds = [(0.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (0.0, 2.0)]
-    config = SimplexConfig(max_iterations=300, restarts=2)
-    result = minimize(objective, [0.0, 0.0, 1.0, -0.0], bounds, config)
-    return {"points": points, "best_point": result.best_point.tobytes().hex(),
-            "best_value": result.best_value.hex(), "iterations": result.iterations,
-            "termination": result.termination, "evaluations": result.evaluations}
-"""
-
-
-def test_same_run_under_python_optimize():
-    script = OPTIMIZED_CASE + (
-        "import json\n"
-        "from simplex import nelder_mead\n"
-        "if __debug__:\n"
-        "    raise SystemExit('asserts are on')\n"
-        "print(json.dumps(run(nelder_mead)))\n"
-    )
-    src = str(Path(lad2d.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-    completed = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    namespace = {}
-    exec(OPTIMIZED_CASE, namespace)
-    expected = namespace["run"](reference_nelder_mead)
-    assert len(expected["points"]) > 50
-    assert json.loads(completed.stdout) == expected
 
 
 # --- The exact linear L1 solver of the LAD descent.
