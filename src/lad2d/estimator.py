@@ -720,6 +720,12 @@ def initial_guess(
     return ModelParams.from_vector(_pack(coef, freqs), amplitude_bound)
 
 
+#: The rescue pass ends when the residual's tallest peak, swapped in for the
+#: weakest component at its lattice point, leaves at least this many times
+#: the incumbent objective (see :func:`_rescue_missed_components`).
+RESCUE_HOPELESS_RATIO = 2.0
+
+
 def _rescue_missed_components(
     clipped: SignalField,
     descent: _LeastAbsoluteFit | _LeastSquaresProfile,
@@ -732,9 +738,16 @@ def _rescue_missed_components(
     happens the true component survives in the residual of the fit, so: walk
     the residual's peaks (away from the fitted frequencies), tentatively swap
     each for the lowest-energy fitted component, and re-run ``descent`` from
-    the first start that already beats the incumbent objective.  Swapping
-    one noise bump for another never clears that gate, so healthy fits pay
-    only a handful of objective evaluations.
+    the first start that already beats the incumbent objective.
+
+    Before that walk, the tallest peak is swapped in at its lattice point
+    and the objective taken there once.  At ``RESCUE_HOPELESS_RATIO`` times
+    the incumbent or more the pass ends: no peak is refined or tried.  A
+    lattice point keeps at least (sin(pi/8) / (pi/8))^4, about 0.90, of a
+    sinusoid's peak periodogram, so a missed component's swap reads close to
+    the incumbent even unrefined, while a noise bump's swap throws away a
+    fitted component and reads several times it.  A non-finite incumbent
+    never ends the pass.
 
     The residual is taken from ``clipped``, the preprocessed data.  A point
     is whatever ``descent`` minimizes over: for LAD all 4p parameters, whose
@@ -750,7 +763,15 @@ def _rescue_missed_components(
         freqs = [(vec[4 * k + 2], vec[4 * k + 3]) for k in range(p)]
         residual = SignalField(clipped.grid, clipped.values - model_grid_values(vec, t, s))
         candidates = peak_candidates(residual, same_lobe_only=True, limit=scan, exclude=freqs)
+        if not candidates:
+            break
         weakest = min(range(p), key=lambda k: vec[4 * k] ** 2 + vec[4 * k + 1] ** 2)
+        tallest = list(freqs)
+        tallest[weakest] = candidates[0][:2]
+        if math.isfinite(best.best_value) and (
+            descent(descent.start(clipped, tallest)) >= RESCUE_HOPELESS_RATIO * best.best_value
+        ):
+            break
         improved = False
         for lam, mu, _ in candidates:
             lam, mu = _refine_peak_frequency(residual, lam, mu)
@@ -820,9 +841,11 @@ def fit(
     that reaches its step cap is reported as not converged.
     ``amplitude_bound`` must be positive (``math.inf`` lifts the box).
     Without ``init`` the start comes from :func:`initial_guess`, and a
-    rescue pass then tries the residual's periodogram peaks; both search a
-    lattice a fixed ``LATTICE_REFINEMENT`` times finer than the Fourier
-    frequencies.
+    rescue pass (:func:`_rescue_missed_components`) then tries the
+    residual's periodogram peaks, unless the tallest of them, swapped in
+    unrefined, reads ``RESCUE_HOPELESS_RATIO`` times the fit's objective or
+    more; both search a lattice a fixed ``LATTICE_REFINEMENT`` times finer
+    than the Fourier frequencies.
 
     ``noise_for_se`` attaches asymptotic standard errors (robust objective
     only); it supplies the noise density at zero analytically.

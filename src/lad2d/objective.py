@@ -120,12 +120,13 @@ def peak_candidates(
     keeps estimates independent of how many candidates a caller asks for.
     """
     lams, mus, intensity = periodogram_lattice(data, grid_refinement)
-    mask = _local_maxima(intensity)
-    idx = np.argwhere(mask)
-    heights = intensity[mask]
-    # Tallest first; ties broken by lattice position for determinism.
-    order = np.lexsort((idx[:, 1], idx[:, 0], -heights))
-    lam_at, mu_at, height_at = lams[idx[order, 0]], mus[idx[order, 1]], heights[order]
+    flat = np.flatnonzero(_local_maxima(intensity))
+    heights = intensity.ravel()[flat]
+    # Tallest first.  The maxima come in row-major order, so the stable sort
+    # breaks ties by lattice position (row, then column).
+    order = np.argsort(-heights, kind="stable")
+    rows, cols = np.divmod(flat[order], intensity.shape[1])
+    lam_at, mu_at, height_at = lams[rows], mus[cols], heights[order]
     separation = 2.0 * np.pi / min(data.grid.T, data.grid.S)
     excluded = np.zeros(order.size, dtype=bool)
     for l0, m0 in exclude:

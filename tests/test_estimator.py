@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from lad2d.estimator import (
     report_to_csv,
     report_to_text,
 )
-from lad2d.noise import density_at_zero, noisy_observation, parse_noise_spec
+from lad2d.montecarlo import read_experiment_config
+from lad2d.noise import density_at_zero, noisy_observation, parse_noise_spec, replication_seed
 from lad2d.objective import LATTICE_REFINEMENT, lad_objective_vec, lse_objective_vec, peak_candidates
 from lad2d.optimizer import OptimResult
 from lad2d.theory import periodogram
@@ -1042,6 +1044,104 @@ def fit_record(report):
         report.converged,
         report.diagnostics,
     )
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.cfg"))
+
+
+def rescue_swaps(monkeypatch):
+    """Record, per ``fit`` call, whether its rescue pass swapped a component."""
+    swapped = []
+    rescue = estimator._rescue_missed_components
+
+    def recording(clipped, descent, result):
+        out = rescue(clipped, descent, result=result)
+        swapped.append(out is not result)
+        return out
+
+    monkeypatch.setattr(estimator, "_rescue_missed_components", recording)
+    return swapped
+
+
+def refinements_in_rescue(monkeypatch):
+    """Count ``_refine_peak_frequency`` calls inside and outside the rescue pass."""
+    calls = {"rescue": 0, "elsewhere": 0}
+    where = ["elsewhere"]
+    refine, rescue = estimator._refine_peak_frequency, estimator._rescue_missed_components
+
+    def counting(*args):
+        calls[where[-1]] += 1
+        return refine(*args)
+
+    def inside(*args, **kwargs):
+        where.append("rescue")
+        try:
+            return rescue(*args, **kwargs)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(estimator, "_refine_peak_frequency", counting)
+    monkeypatch.setattr(estimator, "_rescue_missed_components", inside)
+    return calls
+
+
+class TestRescueGate:
+    """The rescue pass ends without refining any peak when the tallest one,
+    swapped in at its lattice point, reads ``RESCUE_HOPELESS_RATIO`` times
+    the incumbent or more."""
+
+    def scenario_records(self, swapped):
+        """Each scenario of scripts/configs at 20x20, seeds 0-2 of its base
+        seed, both methods: the fit record and whether the rescue swapped."""
+        records = []
+        for path in CONFIGS:
+            spec = read_experiment_config(path.read_text())
+            for rep in range(3):
+                seed = replication_seed(spec.base_seed, rep)
+                data = noisy_observation(spec.truth, Grid(20, 20), spec.noise, seed)
+                for method in ("lad", "lse"):
+                    try:
+                        report = fit(data, spec.truth.p, method=method)
+                    except (FitError, PeakPickingError) as exc:
+                        records.append((path.name, rep, method, repr(exc)))
+                        continue
+                    records.append(
+                        (path.name, rep, method, fit_record(report),
+                         report.evaluations, report.termination, swapped[-1])
+                    )
+        return records
+
+    def test_gate_keeps_every_scenario_record(self, monkeypatch):
+        assert CONFIGS, "no scenario under scripts/configs"
+        swapped = rescue_swaps(monkeypatch)
+        gated = self.scenario_records(swapped)
+        monkeypatch.setattr(estimator, "RESCUE_HOPELESS_RATIO", math.inf)
+        assert self.scenario_records(swapped) == gated
+        # The set exercises the swap the gate must not cost.
+        assert any(record[-1] is True for record in gated)
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    def test_gaussian_fits_refine_no_rescue_peak(self, one_component_truth, method, monkeypatch):
+        calls = refinements_in_rescue(monkeypatch)
+        for seed in range(6):
+            data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), seed)
+            fit(data, 1, method=method)
+        assert calls == {"rescue": 0, "elsewhere": 6}
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    @pytest.mark.parametrize("incumbent", [math.nan, math.inf])
+    def test_non_finite_incumbent_never_skips(self, one_component_truth, method, incumbent, monkeypatch):
+        data = noisy_observation(one_component_truth, Grid(25, 25), NoiseSpec("gaussian", 0.1), 0)
+        kind = estimator._LeastAbsoluteFit if method == "lad" else estimator._LeastSquaresProfile
+        descent = kind(data, 1e6)
+        start = initial_guess(data, 1).as_vector()
+        start = start if method == "lad" else start[2:]
+        result = dataclasses.replace(descent.minimize(start), best_value=incumbent)
+        calls = refinements_in_rescue(monkeypatch)
+        estimator._rescue_missed_components(
+            estimator._robustly_preprocessed(data), descent, result=result
+        )
+        assert calls["rescue"] > 0
 
 
 class TestMethodDispatch:
