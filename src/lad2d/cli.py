@@ -3,8 +3,11 @@
 Every run writes a ``.meta`` sidecar with its fully resolved configuration
 (defaults and seed included), so the exact invocation can be replayed, and
 with the package, Python, numpy and platform it ran on.  Exit codes are
-stable for scripting: 0 success, 1 fit or peak-picking failure, 2 flag or
-I/O errors.
+stable for scripting: 0 success, 1 a ``FitError`` or ``PeakPickingError``,
+2 a flag, value or config the package rejects (``ValueError``) or a path that
+cannot be read or written (``OSError``).  That mapping lives in one place,
+the handler on the command group (:class:`_Main`); the subcommands let
+errors propagate to it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import os
 import platform
 import re
-import sys
 
 import click
 import numpy as np
@@ -23,7 +25,7 @@ from . import __version__
 from .estimator import FitError, asymptotic_variances, fit, parameter_names, report_to_csv, report_to_text
 from .model import ComponentParams, Grid, ModelParams, read_signal_text, write_signal_text
 from .montecarlo import emit_table, parse_grids, read_experiment_config, run_experiment
-from .noise import NoiseSpec, density_at_zero, noisy_observation, parse_noise_spec
+from .noise import density_at_zero, noisy_observation, parse_noise_spec
 from .objective import LATTICE_REFINEMENT, PeakPickingError, periodogram_lattice, pick_peaks
 from .texture import mean_absolute_pixel_error, texture_demo, write_pgm
 
@@ -63,10 +65,7 @@ def _parse_component_flags(tokens: tuple[str, ...], p: int, required: bool) -> M
         missing = {"A", "B", "lam", "mu"} - set(got)
         if missing:
             raise click.UsageError(f"component {k} is missing flags for {sorted(missing)}")
-        try:
-            comps.append(ComponentParams(got["A"], got["B"], got["lam"], got["mu"]))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        comps.append(ComponentParams(got["A"], got["B"], got["lam"], got["mu"]))
     return ModelParams(tuple(comps))
 
 
@@ -83,14 +82,9 @@ def _component_options(params: ModelParams | None) -> dict[str, float]:
 
 
 def _write(path: str, content: str | bytes) -> None:
-    """Write text (as UTF-8) or bytes to ``path``; a failure exits 2."""
-    data = content.encode() if isinstance(content, str) else content
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    """Write text (as UTF-8) or bytes to ``path``."""
+    with open(path, "wb") as fh:
+        fh.write(content.encode() if isinstance(content, str) else content)
 
 
 def _write_meta(path: str, command: str, options: dict) -> None:
@@ -101,57 +95,52 @@ def _write_meta(path: str, command: str, options: dict) -> None:
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    with open(path) as fh:
+        return fh.read()
 
 
 def _read_signal(path: str):
-    text = _read_text(path)
     try:
-        return read_signal_text(text)
+        return read_signal_text(_read_text(path))
     except ValueError as exc:
-        click.echo(f"error: cannot parse {path}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
-def _grid(T: int, S: int) -> Grid:
-    try:
-        return Grid(T, S)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+class _Main(click.Group):
+    """The command group; the one place where an error becomes an exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (FitError, PeakPickingError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_FIT_FAILURE)
+        except (ValueError, OSError) as exc:  # numpy's LinAlgError is a ValueError
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_USAGE)
 
 
-def _parse_noise(text: str) -> NoiseSpec:
-    try:
-        return parse_noise_spec(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Estimation of superimposed 2-D sinusoids by robust and least-squares fits."""
 
 
 @main.command(context_settings={"ignore_unknown_options": True})
-@click.option("--p", "p", type=int, default=1, show_default=True, help="Number of components.")
+@click.option("--p", "p", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Number of components.")
 @click.option("--T", "T", type=int, required=True, help="Rows.")
 @click.option("--S", "S", type=int, required=True, help="Columns.")
 @click.option("--noise", "noise_text", default="none", show_default=True,
               help="Noise spec, e.g. gaussian:sigma=0.1, t1, slash, none; optional "
                    "suffix +outliers:frac=0.2,offset=auto.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.argument("component_flags", nargs=-1, type=click.UNPROCESSED)
 def simulate(p, T, S, noise_text, seed, out_path, component_flags) -> None:
     """Write a synthetic observation as a plain-text matrix."""
     truth = _parse_component_flags(component_flags, p, required=True)
-    grid = _grid(T, S)
-    spec = _parse_noise(noise_text)
+    grid = Grid(T, S)
+    spec = parse_noise_spec(noise_text)
     field = noisy_observation(truth, grid, spec, seed)
     _write(out_path, write_signal_text(field))
     options = {"p": p, "T": T, "S": S, "noise": noise_text, "seed": seed, "out": out_path}
@@ -161,7 +150,7 @@ def simulate(p, T, S, noise_text, seed, out_path, component_flags) -> None:
 
 @main.command(context_settings={"ignore_unknown_options": True})
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--method", type=click.Choice(["lad", "lse"]), default="lad", show_default=True)
 @click.option("--se-noise", "se_noise_text", default=None,
               help="Noise spec used to attach asymptotic standard errors (lad only).")
@@ -172,15 +161,8 @@ def estimate(in_path, p, method, se_noise_text, out_stem, component_flags) -> No
     """Fit p components to a signal file and write the estimate report."""
     init = _parse_component_flags(component_flags, p, required=False)
     data = _read_signal(in_path)
-    se_noise = _parse_noise(se_noise_text) if se_noise_text else None
-    try:
-        report = fit(data, p, method=method, init=init, noise_for_se=se_noise)
-    except (PeakPickingError, FitError) as exc:
-        click.echo(f"error: fit failed: {exc}", err=True)
-        sys.exit(EXIT_FIT_FAILURE)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    se_noise = parse_noise_spec(se_noise_text) if se_noise_text else None
+    report = fit(data, p, method=method, init=init, noise_for_se=se_noise)
     _write(out_stem + ".csv", report_to_csv(report))
     _write(out_stem + ".txt", report_to_text(report))
     options = {"in": in_path, "p": p, "method": method, "se_noise": se_noise_text,
@@ -202,23 +184,12 @@ def estimate(in_path, p, method, se_noise_text, out_stem, component_flags) -> No
 def mc(config_path, out_dir, jobs, reps, grids_text) -> None:
     """Run a replicated experiment from a config file; write CSV and text tables."""
     config_text = _read_text(config_path)
-    try:
-        spec = read_experiment_config(config_text)
-    except ValueError as exc:
-        click.echo(f"error: bad config: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    try:
-        if reps is not None:
-            spec = dataclasses.replace(spec, replications=reps)
-        if grids_text is not None:
-            spec = dataclasses.replace(spec, grids=parse_grids(grids_text))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        click.echo(f"error: cannot create {out_dir}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    spec = read_experiment_config(config_text)
+    if reps is not None:
+        spec = dataclasses.replace(spec, replications=reps)
+    if grids_text is not None:
+        spec = dataclasses.replace(spec, grids=parse_grids(grids_text))
+    os.makedirs(out_dir, exist_ok=True)
     result = run_experiment(spec, n_jobs=jobs)
     csv_path = os.path.join(out_dir, "results.csv")
     _write(csv_path, emit_table(result, "csv"))
@@ -230,7 +201,7 @@ def mc(config_path, out_dir, jobs, reps, grids_text) -> None:
 
 
 @main.command(context_settings={"ignore_unknown_options": True})
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--T", "T", type=int, required=True)
 @click.option("--S", "S", type=int, required=True)
 @click.option("--noise", "noise_text", required=True)
@@ -239,8 +210,8 @@ def mc(config_path, out_dir, jobs, reps, grids_text) -> None:
 def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
     """Print theoretical per-parameter variances of the robust estimator."""
     truth = _parse_component_flags(component_flags, p, required=True)
-    grid = _grid(T, S)
-    spec = _parse_noise(noise_text)
+    grid = Grid(T, S)
+    spec = parse_noise_spec(noise_text)
     if spec.family == "none":
         raise click.UsageError("noiseless model has no density; choose a noise family")
     variances = asymptotic_variances(truth, density_at_zero(spec), grid).per_parameter
@@ -259,7 +230,7 @@ def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--refinement", type=click.IntRange(min=1), default=LATTICE_REFINEMENT,
               show_default=True, help="Lattice refinement R; the fit always uses the default.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
@@ -274,34 +245,25 @@ def periodogram(in_path, p, refinement, out_path) -> None:
     _write(out_path, "\n".join(lines) + "\n")
     _write_meta(out_path + ".meta", "periodogram",
                 {"in": in_path, "p": p, "refinement": refinement, "out": out_path})
-    try:
-        peaks = pick_peaks(data, p, refinement)
-    except PeakPickingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FIT_FAILURE)
-    for lam, mu in peaks:
+    for lam, mu in pick_peaks(data, p, refinement):
         click.echo(f"{lam!r},{mu!r}")
 
 
 @main.command(context_settings={"ignore_unknown_options": True})
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--T", "T", type=int, required=True)
 @click.option("--S", "S", type=int, required=True)
 @click.option("--noise", "noise_text", default="slash", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--method", type=click.Choice(["lad", "lse"]), default="lad", show_default=True)
 @click.option("--out", "out_stem", required=True, type=click.Path())
 @click.argument("component_flags", nargs=-1, type=click.UNPROCESSED)
 def texture(p, T, S, noise_text, seed, method, out_stem, component_flags) -> None:
     """Render noisy / clean / recovered PGM textures; report the fit and the recovery MAE."""
     truth = _parse_component_flags(component_flags, p, required=True)
-    grid = _grid(T, S)
-    spec = _parse_noise(noise_text)
-    try:
-        demo = texture_demo(truth, grid, spec, seed, method=method)
-    except (PeakPickingError, FitError) as exc:
-        click.echo(f"error: fit failed: {exc}", err=True)
-        sys.exit(EXIT_FIT_FAILURE)
+    grid = Grid(T, S)
+    spec = parse_noise_spec(noise_text)
+    demo = texture_demo(truth, grid, spec, seed, method=method)
     for label, image in (("noisy", demo.noisy), ("clean", demo.clean), ("recovered", demo.recovered)):
         _write(f"{out_stem}_{label}.pgm", write_pgm(image))
     _write(out_stem + "_report.csv", report_to_csv(demo.report))

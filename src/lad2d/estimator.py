@@ -38,6 +38,11 @@ from .optimizer import OptimResult, l1_vertex
 
 METHODS = ("lad", "lse")
 
+#: ``fit`` needs a grid of at least this many rows and columns to initialize.
+MIN_GRID_SIZE = 8
+#: ``match_components`` tries all p! assignments, so p is at most this.
+MAX_MATCHED_COMPONENTS = 6
+
 #: Estimated components with A^2+B^2 below this are treated as degenerate
 #: when inverting the information matrix.
 DEGENERATE_ENERGY = 1e-8
@@ -814,7 +819,7 @@ def fit(
     method: str = "lad",
     init: ModelParams | None = None,
     noise_for_se: NoiseSpec | None = None,
-    amplitude_bound: float = 1e6,
+    amplitude_bound: float = AMPLITUDE_BOUND,
 ) -> EstimateReport:
     """Fit p components to the observed field by the chosen objective.
 
@@ -854,9 +859,10 @@ def fit(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if data.grid.T < 8 or data.grid.S < 8:
+    if min(data.grid.T, data.grid.S) < MIN_GRID_SIZE:
         raise ValueError(
-            f"grid {data.grid.T}x{data.grid.S} too small: initialization needs at least 8x8"
+            f"grid {data.grid.T}x{data.grid.S} too small: initialization needs at least "
+            f"{MIN_GRID_SIZE}x{MIN_GRID_SIZE}"
         )
     if init is not None and init.p != p:
         raise ValueError(f"init has {init.p} components, expected {p}")
@@ -940,8 +946,8 @@ def match_components(estimated: ModelParams, truth: ModelParams) -> tuple[int, .
     if estimated.p != truth.p:
         raise ValueError(f"component counts differ: {estimated.p} vs {truth.p}")
     p = truth.p
-    if p > 6:
-        raise ValueError("exhaustive matching is limited to p <= 6")
+    if p > MAX_MATCHED_COMPONENTS:
+        raise ValueError(f"exhaustive matching is limited to p <= {MAX_MATCHED_COMPONENTS}")
     est = [(c.lam, c.mu) for c in estimated.components]
     ref = [(c.lam, c.mu) for c in truth.components]
     best_perm, best_cost = None, np.inf

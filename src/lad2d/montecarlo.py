@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import FitError, aligned_vector, asymptotic_variances, fit, parameter_names
+from .estimator import (
+    MAX_MATCHED_COMPONENTS,
+    MIN_GRID_SIZE,
+    FitError,
+    aligned_vector,
+    asymptotic_variances,
+    fit,
+    parameter_names,
+)
 from .model import ComponentParams, Grid, ModelParams
 from .noise import NoiseSpec, density_at_zero, noisy_observation, parse_noise_spec, replication_seed
 from .objective import PeakPickingError
@@ -22,7 +30,14 @@ from .objective import PeakPickingError
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one experiment needs; two equal specs give equal results."""
+    """Everything one experiment needs; two equal specs give equal results.
+
+    A spec that no replication could run is rejected before any fit: more
+    than ``MAX_MATCHED_COMPONENTS`` components (their estimates could not
+    be matched to the truth), a grid under ``MIN_GRID_SIZE`` on a side
+    (``fit`` would reject it) or a negative base seed.  Each message names
+    the config key and the limit.
+    """
 
     truth: ModelParams
     grids: tuple[Grid, ...]
@@ -36,6 +51,19 @@ class ExperimentSpec:
             raise ValueError("need at least one replication")
         if not self.grids:
             raise ValueError("grid list must be non-empty")
+        if self.truth.p > MAX_MATCHED_COMPONENTS:
+            raise ValueError(
+                f"truth.* defines {self.truth.p} components; at most "
+                f"{MAX_MATCHED_COMPONENTS} can be matched to the truth"
+            )
+        for grid in self.grids:
+            if min(grid.T, grid.S) < MIN_GRID_SIZE:
+                raise ValueError(
+                    f"grids entry {grid.T}x{grid.S} is below the "
+                    f"{MIN_GRID_SIZE}x{MIN_GRID_SIZE} that a fit needs"
+                )
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         for m in self.methods:
             if m not in ("lad", "lse"):
                 raise ValueError(f"unknown method {m!r}")

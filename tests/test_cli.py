@@ -371,6 +371,48 @@ class TestMc:
         assert result.exit_code == 2
 
 
+SEVEN_COMPONENTS = "".join(
+    f"truth.A{k} = 1.0\ntruth.B{k} = 0.5\ntruth.lambda{k} = {0.4 * k!r}\ntruth.mu{k} = 0.3\n"
+    for k in range(2, 8)
+)
+
+
+class TestRejectedInputs:
+    """Input the package rejects exits 2 with an error line, no traceback and no output file."""
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["periodogram", "--in", "{sig}", "--p", "0", "--out", "{out}/pgram.csv"], "'--p'"),
+            (["texture", *MODEL4, "--T", "4", "--S", "4", "--out", "{out}/tex"], "8x8"),
+            (["simulate", *MODEL4, "--T", "10", "--S", "10", "--seed", "-1",
+              "--out", "{out}/sig.txt"], "'--seed'"),
+            (["mc", "--config", "{seven}", "--out", "{out}/r"], "truth.*"),
+            (["mc", "--config", "{grid6}", "--out", "{out}/r"], "grids entry 6x6"),
+            (["mc", "--config", "{seed}", "--out", "{out}/r"], "seed must be >= 0"),
+        ],
+        ids=["periodogram-p0", "texture-4x4", "simulate-seed-1", "mc-p7", "mc-grid6x6", "mc-seed-1"],
+    )
+    def test_exits_2_before_writing(self, runner, tmp_path, args, named):
+        sig = tmp_path / "sig.txt"
+        invoke(runner, ["simulate", *MODEL4, "--T", "12", "--S", "12", "--out", str(sig)])
+        base = MC_CONFIG.format(reps=1)
+        configs = {"seven": base + SEVEN_COMPONENTS,
+                   "grid6": re.sub(r"(?m)^grids.*$", "grids = 6x6", base),
+                   "seed": re.sub(r"(?m)^seed.*$", "seed = -1", base)}
+        for name, text in configs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {name: str(tmp_path / f"{name}.cfg") for name in configs}
+        result = runner.invoke(main, [a.format(sig=sig, out=out, **paths) for a in args])
+        assert result.exit_code == 2
+        assert "error:" in result.output.lower()
+        assert named in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert list(out.iterdir()) == []
+
+
 class TestMetaReplay:
     def _replay_simulate(self, runner, meta: dict, out: str):
         options = meta["options"]

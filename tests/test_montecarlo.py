@@ -34,6 +34,11 @@ def small_spec(one_component_truth, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
+def components(p: int) -> ModelParams:
+    """A p-component truth with distinct frequencies."""
+    return ModelParams(tuple(ComponentParams(1.0, 0.5, 0.4 * k, 0.3) for k in range(1, p + 1)))
+
+
 class TestRunExperiment:
     def test_noiseless_mse_vanishes(self, one_component_truth):
         spec = small_spec(one_component_truth, noise=NoiseSpec("none"), replications=3)
@@ -91,6 +96,24 @@ class TestRunExperiment:
             small_spec(one_component_truth, grids=())
         with pytest.raises(ValueError):
             small_spec(one_component_truth, methods=("ridge",))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"truth": components(7)}, r"truth\.\* defines 7 components; at most 6 "),
+            ({"grids": (Grid(16, 16), Grid(7, 20))}, r"grids entry 7x20 is below the 8x8 "),
+            ({"grids": (Grid(20, 7),)}, r"grids entry 20x7 is below the 8x8 "),
+            ({"base_seed": -1}, r"seed must be >= 0, got -1"),
+        ],
+        ids=["p7", "grid7x20", "grid20x7", "seed-1"],
+    )
+    def test_spec_rejects_what_no_replication_can_run(self, one_component_truth, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(one_component_truth, **overrides)
+
+    def test_spec_limits_are_inclusive(self):
+        spec = small_spec(components(6), grids=(Grid(8, 8),), base_seed=0)
+        assert (spec.truth.p, spec.grids, spec.base_seed) == (6, (Grid(8, 8),), 0)
 
 
 class TestFailurePolicy:
@@ -295,6 +318,14 @@ class TestConfig:
             ("seed = x7", r"config key 'seed' needs an integer, got 'x7'"),
             ("truth.A1 = 2.4x", r"config key 'truth\.A1' needs a number, got '2\.4x'"),
             ("truth.mu1 =", r"config key 'truth\.mu1' needs a number, got ''"),
+            # So does a value that no replication could run with, and the limit.
+            pytest.param(
+                "".join(f"truth.A{k}=1\ntruth.B{k}=1\ntruth.lambda{k}={0.4 * k!r}\ntruth.mu{k}=0.3\n"
+                        for k in range(2, 8)),
+                r"truth\.\* defines 7 components; at most 6 ", id="seven-components",
+            ),
+            ("grids = 16x16,6x6", r"grids entry 6x6 is below the 8x8 "),
+            ("seed = -1", r"seed must be >= 0, got -1"),
         ],
     )
     def test_misspelt_or_unknown_setting_is_named(self, line, message):
