@@ -237,6 +237,7 @@ def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
 def periodogram(in_path, p, refinement, out_path) -> None:
     """Dump the periodogram lattice as CSV and print the top-p peak list."""
     data = _read_signal(in_path)
+    peaks = pick_peaks(data, p, refinement)  # a field without p peaks leaves no files
     lams, mus, intensity = periodogram_lattice(data, refinement)
     lines = ["lambda,mu,I"]
     for i, lam in enumerate(lams):
@@ -245,7 +246,7 @@ def periodogram(in_path, p, refinement, out_path) -> None:
     _write(out_path, "\n".join(lines) + "\n")
     _write_meta(out_path + ".meta", "periodogram",
                 {"in": in_path, "p": p, "refinement": refinement, "out": out_path})
-    for lam, mu in pick_peaks(data, p, refinement):
+    for lam, mu in peaks:
         click.echo(f"{lam!r},{mu!r}")
 
 

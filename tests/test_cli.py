@@ -249,6 +249,8 @@ class TestPeriodogram:
             main, ["periodogram", "--in", str(zero), "--out", str(tmp_path / "p.csv")]
         )
         assert result.exit_code == 1
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "p.csv.meta").exists()
 
     def test_refinement_below_one_exits_2(self, runner, tmp_path):
         zero = tmp_path / "zero.txt"

@@ -21,7 +21,7 @@ from lad2d import (
     match_components,
     synthesize_signal,
 )
-from lad2d import estimator
+from lad2d import estimator, optimizer
 from lad2d.estimator import (
     EstimateReport,
     FitError,
@@ -1217,6 +1217,32 @@ class TestLeastAbsoluteDescent:
         assert (result.iterations, result.converged, result.termination) == (0, True, "singular")
         assert result.best_point.tobytes() == start.tobytes()
         assert fit(data, 1).termination == "singular"
+
+    @pytest.mark.parametrize(
+        "scenario", ["one_component_slash", "two_component_t1", "two_component_slash_outliers"]
+    )
+    def test_large_grid_steps_end_at_the_every_row_vertex(self, scenario, monkeypatch):
+        # At 150x150 each step's L1 problem is tall enough for the reduced row
+        # set; its vertex must be the one the walk on every row ends at.
+        spec = read_experiment_config(CONFIGS[0].with_name(f"{scenario}.cfg").read_text())
+        calls = []
+
+        def checked(A, b, lower, upper, preferred=()):
+            x, rows = optimizer.l1_vertex(A, b, lower, upper, preferred)
+            assert optimizer._left_out_rows(b, np.asarray(preferred, dtype=int), A.shape[1]) is not None
+            with monkeypatch.context() as every_row:
+                every_row.setattr(optimizer, "KEPT_ROWS_MAX_SHARE", 0.0)
+                want, want_rows = optimizer.l1_vertex(A, b, lower, upper, preferred)
+            value, want_value = np.abs(b - A @ x).sum(), np.abs(b - A @ want).sum()
+            calls.append((sorted(rows.tolist()) == sorted(want_rows.tolist()),
+                          abs(value - want_value) <= 1e-12 * want_value))
+            return x, rows
+
+        monkeypatch.setattr(estimator, "l1_vertex", checked)
+        for rep in range(3):
+            data = noisy_observation(spec.truth, Grid(150, 150), spec.noise, replication_seed(spec.base_seed, rep))
+            fit(data, spec.truth.p)
+        assert calls and all(same_rows and same_value for same_rows, same_value in calls)
 
     @pytest.mark.parametrize("method", ["lad", "lse"])
     @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lad2d import Grid, synthesize_signal
+from lad2d import Grid, optimizer, synthesize_signal
 from lad2d.objective import lad_objective_vec
 from lad2d.optimizer import l1_vertex
 from simplex import SimplexConfig, adaptive_coefficients, default_fit_config, nelder_mead
@@ -225,6 +226,31 @@ def l1_problems(draw):
     return rng.normal(size=(n, m)), rng.normal(size=n), lower, upper, preferred
 
 
+def l1_vertex_on_every_row(A, b, lower, upper, preferred=()):
+    """``l1_vertex`` with the reduced row set turned off: the walk on every row."""
+    with mock.patch.object(optimizer, "KEPT_ROWS_MAX_SHARE", 0.0):
+        return l1_vertex(A, b, lower, upper, preferred)
+
+
+@st.composite
+def tall_l1_problems(draw):
+    """(A, b, lower, upper, preferred) tall enough for the reduced row set: a
+    linear model, in the box or beyond it, plus Cauchy noise, so the rows
+    zero at the optimum are not all among those of smallest |b|.  A is now
+    and then the transpose of a C-ordered array, as the LAD fit hands it
+    over."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    n = 1200 * m + draw(st.integers(0, 1000))
+    lower, upper = -rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
+    if draw(st.booleans()):
+        lower[0] = 0.0
+    A = rng.normal(size=(m, n)).T if draw(st.booleans()) else rng.normal(size=(n, m))
+    b = A @ rng.uniform(2.0 * lower, 2.0 * upper) + rng.uniform(0.01, 1.0) * rng.standard_cauchy(n)
+    preferred = rng.permutation(n + 2 * m)[: draw(st.integers(0, m))]
+    return A, b, lower, upper, preferred
+
+
 class TestL1Vertex:
     @settings(max_examples=150, deadline=None)
     @given(problem=l1_problems())
@@ -240,8 +266,8 @@ class TestL1Vertex:
         assert len(set(rows.tolist())) == m
         np.testing.assert_allclose(at[rows], 0.0, atol=1e-9)
 
-    @settings(max_examples=50, deadline=None)
-    @given(problem=l1_problems())
+    @settings(max_examples=60, deadline=None)
+    @given(problem=st.one_of(l1_problems(), tall_l1_problems()))
     def test_warm_start_from_the_optimum_stays(self, problem):
         A, b, lower, upper, _ = problem
         x, rows = l1_vertex(A, b, lower, upper)
@@ -260,3 +286,29 @@ class TestL1Vertex:
         x, rows = l1_vertex(A, b, lower, upper)
         assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
         assert np.all(np.isfinite(x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=tall_l1_problems())
+    def test_reduced_rows_end_at_the_every_row_vertex(self, problem):
+        A, b, lower, upper, preferred = problem
+        assert optimizer._left_out_rows(b, preferred, A.shape[1]) is not None
+        x, rows = l1_vertex(A, b, lower, upper, preferred)
+        want, want_rows = l1_vertex_on_every_row(A, b, lower, upper, preferred)
+        assert sorted(rows.tolist()) == sorted(want_rows.tolist())
+        value, want_value = np.abs(b - A @ x).sum(), np.abs(b - A @ want).sum()
+        assert abs(value - want_value) <= 1e-12 * want_value
+
+    def test_left_out_rows_that_flip_join_the_walk(self):
+        # 561 rows lie around 0 and 4,440 between 2 and 10, where the median
+        # is.  The first walk sees the 566 rows of smallest |b| and
+        # leaves all the others behind at x = 100; they all join, and the
+        # second walk, on every row, goes back to the median.
+        rng = np.random.default_rng(3)
+        b = np.concatenate([rng.uniform(-1.0, 1.0, 561), rng.uniform(2.0, 10.0, 4440)])
+        A, lower, upper = np.ones((b.size, 1)), np.array([-100.0]), np.array([100.0])
+        with mock.patch.object(optimizer, "_walk", wraps=optimizer._walk) as walk:
+            x, rows = l1_vertex(A, b, lower, upper)
+        assert walk.call_count == 2 and walk.call_args_list[0].args[0].shape[0] < b.size
+        assert x.tolist() == [np.median(b)] and b[rows].tolist() == [np.median(b)]
+        want, want_rows = l1_vertex_on_every_row(A, b, lower, upper)
+        assert (x.tobytes(), rows.tolist()) == (want.tobytes(), want_rows.tolist())
