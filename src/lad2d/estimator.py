@@ -7,7 +7,8 @@ by successive linear programming: each step solves the linearized problem,
 a linear L1 regression, exactly at a vertex inside a trust region.  Squared
 residuals, with the amplitudes solved out at every point, are a smooth
 function of the 2p frequencies alone, minimized by projected Newton steps
-on its analytic gradient and Hessian.
+on its analytic gradient and Hessian.  Its loop,
+:func:`_projected_newton`, also refines each periodogram peak.
 
 Asymptotic variances for the robust estimator come from a block-diagonal
 information-style matrix: each component contributes a 4x4 block
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,22 +176,23 @@ RANK_RTOL = 1e-10
 PROFILE_RTOL = 1e-3
 
 
-def _normal_equations(
-    y: np.ndarray, t: np.ndarray, s: np.ndarray, lams: np.ndarray, mus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _trig_rows(freqs: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The rows ``[cos f x; sin f x]`` (2p x n) of frequencies f at positions x."""
+    angles = np.multiply.outer(freqs, positions)
+    return np.concatenate([np.cos(angles), np.sin(angles)])
+
+
+def _normal_equations(y: np.ndarray, ct: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and right-hand side of the amplitude least squares at fixed
     frequencies, unknowns ordered (A_1..A_p, B_1..B_p).
 
     Every column of the model is a signed sum of products of 1-D factors
-    ``Ct = [cos lam t; sin lam t]`` (2p x T) and ``Cs`` over s, so the
-    right-hand side comes from ``Ct @ y @ Cs^T`` and each Gram entry from
-    four products of entries of ``Ct Ct^T`` and ``Cs Cs^T``.  Nothing of size
-    TS x 2p is built.
+    ``ct = [cos lam t; sin lam t]`` (2p x T) and ``cs`` over s
+    (:func:`_trig_rows`), so the right-hand side comes from
+    ``ct @ y @ cs^T`` and each Gram entry from four products of entries of
+    ``ct ct^T`` and ``cs cs^T``.  Nothing of size TS x 2p is built.
     """
-    p = lams.size
-    ang_t, ang_s = np.multiply.outer(lams, t), np.multiply.outer(mus, s)
-    ct = np.concatenate([np.cos(ang_t), np.sin(ang_t)])
-    cs = np.concatenate([np.cos(ang_s), np.sin(ang_s)])
+    p = ct.shape[0] // 2
     pt = (ct @ ct.T).reshape(2, p, 2, p).transpose(0, 2, 1, 3)  # [a, a', j, k]
     ps = (cs @ cs.T).reshape(2, p, 2, p).transpose(0, 2, 1, 3)
     products = (pt[:, None, :, None] * ps[None, :, None, :]).reshape(16, p * p)
@@ -225,21 +229,126 @@ def _amplitudes_given_frequencies(
 ) -> np.ndarray:
     """Least-squares (A_k, B_k) at fixed frequencies; the model is linear there."""
     lams, mus = np.asarray(freqs, dtype=float).T
-    gram, rhs = _normal_equations(
-        data.values, data.grid.t_values(), data.grid.s_values(), lams, mus
-    )
-    return _interleaved(_solve_normal_equations(gram, rhs)[0])
+    ct, cs = _trig_rows(lams, data.grid.t_values()), _trig_rows(mus, data.grid.s_values())
+    return _interleaved(_solve_normal_equations(*_normal_equations(data.values, ct, cs))[0])
 
 
-#: A projected Newton search (the peak refinement, the profiled least-squares
-#: descent) stops once a step moves no coordinate by more than this, or after
-#: this many steps.
+#: A descent (:func:`_projected_newton`, the LAD trust region) stops once a
+#: step moves no coordinate by more than this, which is also how close to a
+#: bound a coordinate counts as on it, or after this many steps.
 REFINE_X_TOLERANCE = 1e-12
 REFINE_MAX_STEPS = 100
-#: A descent (the profiled least squares, the LAD trust region) halves its
-#: step at most this many times; a step that still raises the objective ends
-#: the descent.
+#: The profiled least squares and the LAD trust region halve a step at most
+#: this many times, then stop; the peak refinement halves until it moves nothing.
 MAX_HALVINGS = 12
+
+
+def _ldl_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with a x = b for the symmetric ``a`` by elimination in place, a = L D
+    L' with D the pivots; None where a pivot is not positive (``a`` is then
+    not positive definite) or x is not finite."""
+    n = len(b)
+    for j in range(n):
+        if not a[j][j] > 0.0:  # also for NaN
+            return None
+        for i in range(j + 1, n):
+            factor = a[i][j] / a[j][j]
+            for k in range(j + 1, n):
+                a[i][k] -= factor * a[j][k]
+            b[i] -= factor * b[j]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (b[i] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _into_box(values: Iterable[float]) -> list[float]:
+    """``np.clip(values, 0, pi)`` on floats: -0.0 and NaN stay."""
+    return [0.0 if v < 0.0 else (math.pi if v > math.pi else v) for v in values]
+
+
+def _projected_newton(
+    derivatives: Callable[[list[float]], tuple[float, list[float], list[list[float]]]],
+    start: Iterable[float], half_cell: float, max_step: float, max_halvings: float,
+) -> OptimResult:
+    """Projected Newton descent (Bertsekas 1982) in [0, pi]^n from ``start``
+    clipped into the box, the loop of the peak refinement and of the
+    profiled least squares.  ``derivatives(x)`` gives the value, gradient
+    and Hessian at the floats x as a float, a new list and new rows; the
+    coordinates pair up as (lam_1, mu_1, lam_2, ...).
+
+    A pair with both coordinates on a bound has no gradient: both objectives
+    are even about each corner of a pair's box (the model spans the same at
+    (lam, mu) and (-lam, -mu), with period 2 pi).  A coordinate on a bound
+    whose gradient points out of the box is held for the step.  The step is
+    a Newton step where the Hessian of the free coordinates is positive
+    definite (:func:`_ldl_solve`), shortened to ``max_step``, else a
+    gradient step ``half_cell`` long.  At a zero gradient it leaves a point
+    that is no minimum along the direction of least curvature, ``half_cell``
+    long, whichever way moves farther into the box, and otherwise stops
+    ("stationary").  The step is clipped into the box and halved, at most
+    ``max_halvings`` times ("stalled"), until the value does not rise; NaN
+    halves it.  The descent stops when a step moves no coordinate by more
+    than ``REFINE_X_TOLERANCE`` ("xtol"), or after ``REFINE_MAX_STEPS``
+    ("maxiter", not converged).  A non-finite start is returned ("stalled").
+    The bookkeeping is on Python floats: on 2 to 12 coordinates numpy's cost
+    per call outweighs the arithmetic.
+    """
+    tolerance, near_pi = REFINE_X_TOLERANCE, math.pi - REFINE_X_TOLERANCE
+    x = _into_box(map(float, start))
+    value, grad, hess = derivatives(x)
+    evaluations, termination, iterations = 1, "maxiter", 0
+    if not all(map(math.isfinite, [value, *grad, *itertools.chain.from_iterable(hess)])):
+        termination = "stalled"
+
+    def towards(step: list[float]) -> tuple[list[float], float]:  # the trial, how far it moves
+        trial = _into_box(map(operator.add, x, step))
+        return trial, max(map(abs, map(operator.sub, trial, x)))
+
+    while termination == "maxiter" and iterations < REFINE_MAX_STEPS:
+        side = [(v >= near_pi) - (v <= tolerance) for v in x]  # -1 low, 1 high, 0 inside
+        for k in range(0, len(x), 2):
+            if side[k] and side[k + 1]:
+                grad[k] = grad[k + 1] = 0.0
+        free = [i for i, g in enumerate(grad) if not side[i] * g < 0.0]
+        g, h = [grad[i] for i in free], [[hess[i][j] for j in free] for i in free]
+        saddle = not any(g)  # some coordinate is free: a corner has no gradient
+        if saddle:
+            curvature, vectors = np.linalg.eigh(h)
+            if not curvature[0] < 0.0:
+                termination = "stationary"
+                break
+            direction = [v * half_cell for v in vectors[:, 0].tolist()]
+        elif (direction := _ldl_solve(h, [-v for v in g])) is None:
+            longest = max(map(abs, g))
+            direction = [v * (-half_cell / longest) for v in g]
+        elif (longest := max(map(abs, direction))) > max_step:
+            direction = [v * (max_step / longest) for v in direction]
+        moves = dict(zip(free, direction))
+        step = [moves.get(i, 0.0) for i in range(len(x))]
+        if saddle and towards([-d for d in step])[1] > towards(step)[1]:
+            step = [-d for d in step]
+        for halvings in itertools.count():
+            trial, moved = towards(step)
+            if not moved > tolerance:
+                termination = "xtol"
+                break
+            evaluations += 1
+            trial_value, trial_grad, trial_hess = derivatives(trial)
+            if trial_value <= value:  # False for NaN, which halves the step
+                break
+            if halvings >= max_halvings:
+                termination = "stalled"
+                break
+            step = [d / 2.0 for d in step]
+        if termination != "maxiter":
+            break
+        iterations += 1
+        x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+    return OptimResult(best_point=np.array(x), best_value=value, iterations=iterations,
+                       converged=termination != "maxiter", termination=termination,
+                       evaluations=evaluations)
+
 
 #: Index (a, b) of the weight t^a s^b that two frequency coordinates of one
 #: component put on their second derivative: lam lam -> t^2, lam mu -> t s,
@@ -270,9 +379,11 @@ class _LeastSquaresProfile:
         self.tp = np.stack([np.ones_like(self.t), self.t, self.t * self.t])
         self.sp = np.stack([np.ones_like(self.s), self.s, self.s * self.s])
 
+    def _rows(self, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _trig_rows(freqs[0::2], self.t), _trig_rows(freqs[1::2], self.s)
+
     def _solve(self, freqs: np.ndarray) -> tuple[np.ndarray, float, bool, np.ndarray]:
-        gram, rhs = _normal_equations(self.data.values, self.t, self.s, freqs[0::2], freqs[1::2])
-        return _solve_normal_equations(gram, rhs)
+        return _solve_normal_equations(*_normal_equations(self.data.values, *self._rows(freqs)))
 
     def _vector(self, coef: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         coef = np.clip(_interleaved(coef), -self.amplitude_bound, self.amplitude_bound)
@@ -315,12 +426,16 @@ class _LeastSquaresProfile:
         Q[a, b, j, +-, k] = sum t^a s^b e^{-i (theta_j +- theta_k)}.  Nothing
         of size TS x 2p is built.
         """
-        coef, explained, conditioned, root = self._solve(freqs)
+        ct, cs = self._rows(freqs)
+        coef, explained, conditioned, root = _solve_normal_equations(
+            *_normal_equations(self.data.values, ct, cs)
+        )
         value = self._value(coef, explained, conditioned, freqs)
         p, n = freqs.size // 2, self.data.grid.n
         amp = coef[:p] + 1j * coef[p:]  # a_k = A_k + i B_k
-        rows = self.tp[:, None, :] * np.exp(-1j * np.multiply.outer(freqs[0::2], self.t))
-        cols = self.sp[:, None, :] * np.exp(-1j * np.multiply.outer(freqs[1::2], self.s))
+        # e^{-i lam t} = cos lam t - i sin lam t, from the solve's rows.
+        rows = self.tp[:, None, :] * (ct[:p] - 1j * ct[p:])
+        cols = self.sp[:, None, :] * (cs[:p] - 1j * cs[p:])
         flat = rows.reshape(3 * p, -1)  # rows [a, k, t] as (a, k) x t
         # Per-axis sums of t^a e^{-i (lam_j +- lam_k) t}, indexed [a, j, +-, k].
         pt = (flat @ np.concatenate([rows[0], rows[0].conj()]).T).reshape(3, p, 2, p)
@@ -356,70 +471,20 @@ class _LeastSquaresProfile:
         return value, grad, (2.0 / n) * hess
 
     def minimize(self, start: np.ndarray) -> OptimResult:
-        """Projected Newton descent on the profile from ``start`` in [0, pi]^2p.
-
-        The rules of :func:`_refine_peak_frequency`, turned for a minimum:
-        each step is a Newton step where the Hessian of the free coordinates
-        is positive definite, else a gradient step half a lattice cell long.
-        A coordinate within ``REFINE_X_TOLERANCE`` of a bound whose gradient
-        points out of the box stays fixed for that step.  The step is clipped
-        into the box and halved, at most ``MAX_HALVINGS`` times,
-        until the profile does not rise.  The descent stops when a step moves
-        no coordinate by more than ``REFINE_X_TOLERANCE``, at a stationary
-        point, when the halvings run out, or after ``REFINE_MAX_STEPS`` steps;
-        only the last is reported as not converged.  ``iterations`` counts
-        the steps taken and ``evaluations`` the points whose derivatives were
-        taken.
-
-        One rule is new: a Newton step is shortened to half a main lobe
-        (pi / min(T, S)) at most.  Under heavy-tailed noise the profile has
-        many minima; on 100 p=2 50x50 t1 fields the unshortened step ended in
-        a higher one than the former simplex on 7, the shortened one on 1.
+        """Projected Newton descent (:func:`_projected_newton`) on the profile
+        from ``start`` in [0, pi]^2p: gradient steps half a lattice cell long,
+        at most ``MAX_HALVINGS`` halvings, and Newton steps half a main lobe
+        (pi / min(T, S)) long at most.  Under heavy-tailed noise the profile
+        has many minima; on 100 p=2 50x50 t1 fields the unshortened step ended
+        in a higher one than the former simplex on 7, the shortened one on 1.
         """
-        tolerance, near_pi = REFINE_X_TOLERANCE, np.pi - REFINE_X_TOLERANCE
         half_lobe = np.pi / min(self.data.grid.T, self.data.grid.S)
-        half_cell = half_lobe / (2.0 * LATTICE_REFINEMENT)
-        x = np.clip(np.asarray(start, dtype=float), 0.0, np.pi)
-        value, grad, hess = self.derivatives(x)
-        evaluations, termination = 1, "maxiter"
-        for iterations in range(REFINE_MAX_STEPS):
-            free = ~(((x <= tolerance) & (grad > 0.0)) | ((x >= near_pi) & (grad < 0.0)))
-            g = grad[free]
-            if not np.any(g != 0.0):
-                termination = "stationary"
-                break
-            curvature, vectors = np.linalg.eigh(hess[np.ix_(free, free)])
-            step = np.zeros_like(x)
-            if curvature[0] > 0.0:
-                step[free] = -(vectors @ ((g @ vectors) / curvature))
-                step *= min(1.0, half_lobe / np.abs(step).max())
-            else:
-                step[free] = g * (-half_cell / np.abs(g).max())
-            for _ in range(MAX_HALVINGS + 1):
-                trial = np.clip(x + step, 0.0, np.pi)
-                if np.abs(trial - x).max() <= tolerance:
-                    termination = "xtol"
-                    break
-                evaluations += 1
-                trial_value, trial_grad, trial_hess = self.derivatives(trial)
-                if trial_value <= value:  # False for NaN, which halves the step
-                    break
-                step /= 2.0
-            else:
-                termination = "stalled"
-            if termination != "maxiter":
-                break
-            x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
-        else:
-            iterations = REFINE_MAX_STEPS
-        return OptimResult(
-            best_point=x,
-            best_value=value,
-            iterations=iterations,
-            converged=termination != "maxiter",
-            termination=termination,
-            evaluations=evaluations,
-        )
+        return _projected_newton(self._listed_derivatives, start, half_lobe / (2.0 * LATTICE_REFINEMENT),
+                                 max_step=half_lobe, max_halvings=MAX_HALVINGS)
+
+    def _listed_derivatives(self, freqs: list[float]) -> tuple[float, list, list]:
+        value, grad, hess = self.derivatives(np.array(freqs))
+        return value, grad.tolist(), hess.tolist()
 
 
 #: A LAD step that lowers the objective by no more than this share of it ends
@@ -572,10 +637,10 @@ def _robustly_preprocessed(data: SignalField) -> SignalField:
 
 
 def _periodogram_derivatives(
-    y: np.ndarray, tp: np.ndarray, sp: np.ndarray, x: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """|z|^2, its gradient and its Hessian in (lam, mu) at x, where
-    z = sum_t sum_s y(t, s) exp(-i(lam t + mu s)).
+    y: np.ndarray, tp: np.ndarray, sp: np.ndarray, x: list[float]
+) -> tuple[float, list[float], list[list[float]]]:
+    """-|z|^2, its gradient and its Hessian in (lam, mu) at x, as Python
+    floats, where z = sum_t sum_s y(t, s) exp(-i(lam t + mu s)).
 
     ``tp`` and ``sp`` hold the rows (1, t, t^2) and (1, s, s^2), so one pass
     M = [a, t a, t^2 a] @ y @ [b, s b, s^2 b]^T gives every derivative of z
@@ -586,102 +651,31 @@ def _periodogram_derivatives(
     M = ((rows[:3] + 1j * rows[3:]) @ (sp * np.exp(-1j * x[1] * sp[1])).T).tolist()
     z, zl, zm = M[0][0], -1j * M[1][0], -1j * M[0][1]
     zc = z.conjugate()
-    cross = (zm.conjugate() * zl).real - (zc * M[1][1]).real
-    grad = np.array([(zc * zl).real, (zc * zm).real])
-    hess = np.array(
-        [
-            [abs(zl) ** 2 - (zc * M[2][0]).real, cross],
-            [cross, abs(zm) ** 2 - (zc * M[0][2]).real],
-        ]
-    )
-    return z.real**2 + z.imag**2, 2.0 * grad, 2.0 * hess
-
-
-def _into_box(v: float) -> float:
-    """``np.clip(v, 0, pi)`` on one float; as there, -0.0 and NaN come back unchanged."""
-    return 0.0 if v < 0.0 else (np.pi if v > np.pi else v)
+    cross = 2.0 * ((zc * M[1][1]).real - (zm.conjugate() * zl).real)
+    hess = [[2.0 * ((zc * M[2][0]).real - abs(zl) ** 2), cross],
+            [cross, 2.0 * ((zc * M[0][2]).real - abs(zm) ** 2)]]
+    return -(z.real**2 + z.imag**2), [-2.0 * (zc * zl).real, -2.0 * (zc * zm).real], hess
 
 
 def _refine_peak_frequency(field: SignalField, lam: float, mu: float) -> tuple[float, float]:
-    """Local maximizer of the continuous periodogram next to a lattice peak.
-
-    Projected Newton ascent from (lam, mu) inside [0, pi]^2, on the field
-    divided by its largest |value| (the argmax is unchanged and the t^2, s^2
-    weights cannot overflow).  Each step is a Newton step where the Hessian
-    is negative definite, else a gradient step half a lattice cell long, or,
-    at a stationary point that is no maximum (a corner of the box can be
-    one), a step that long along the direction of largest curvature.  A
-    coordinate within ``REFINE_X_TOLERANCE`` of a bound whose gradient points
-    out of the box stays fixed for that step.  The step is clipped into the
-    box and halved until the periodogram does not decrease, and the ascent
-    stops when a step moves no coordinate by more than ``REFINE_X_TOLERANCE``.
-    A zero field or a non-finite value at the start returns the lattice
-    point; the refinement never raises.  The 2x2 bookkeeping runs on Python
-    floats in the same operation order as the numpy form, so the result is
-    bit for bit that form's.
+    """Local maximizer of the continuous periodogram next to a lattice peak:
+    :func:`_projected_newton` on minus the periodogram of the field divided
+    by its largest |value| (the argmax is unchanged and the t^2, s^2 weights
+    cannot overflow), with gradient steps half a lattice cell long, Newton
+    steps as long as they come and halvings until the step moves nothing.  A
+    zero or non-finite field returns the lattice point; it never raises.
     """
-    x0, x1 = _into_box(float(lam)), _into_box(float(mu))
+    start = _into_box([float(lam), float(mu)])
     scale = float(np.max(np.abs(field.values)))
     if not scale > 0.0:
-        return x0, x1
+        return start[0], start[1]
     y = field.values / scale
     t, s = field.grid.t_values(), field.grid.s_values()
     tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
     half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
-    near_pi = np.pi - REFINE_X_TOLERANCE
-
-    value, grad, hess = _periodogram_derivatives(y, tp, sp, (x0, x1))
-    # The Hessian is symmetric, so its off-diagonal entry is read once.
-    (g0, g1), ((h00, h01), (_, h11)) = grad.tolist(), hess.tolist()
-    if not all(map(math.isfinite, (value, g0, g1, h00, h01, h11))):
-        return x0, x1
-    for _ in range(REFINE_MAX_STEPS):
-        # The top lattice frequency can sit an ulp below pi: count it as on.
-        low0, high0 = x0 <= REFINE_X_TOLERANCE, x0 >= near_pi
-        low1, high1 = x1 <= REFINE_X_TOLERANCE, x1 >= near_pi
-        if (low0 or high0) and (low1 or high1):
-            # I(lam, mu) = I(-lam, -mu) with period 2 pi, so every corner of
-            # the box is stationary and the computed gradient is rounding noise.
-            g0 = g1 = 0.0
-        free0 = not ((low0 and g0 < 0.0) or (high0 and g0 > 0.0))
-        free1 = not ((low1 and g1 < 0.0) or (high1 and g1 > 0.0))
-        # A fixed coordinate gets zero gradient and a -1 Hessian row (the
-        # -0.0 off the diagonal is what -np.eye(2) holds), so the 2x2 Newton
-        # solve leaves it in place.
-        f0, f1 = (g0 if free0 else 0.0), (g1 if free1 else 0.0)
-        a, d = (h00 if free0 else -1.0), (h11 if free1 else -1.0)
-        c = h01 if free0 and free1 else -0.0
-        det = a * d - c * c
-        if a < 0.0 and det > 0.0:  # negative definite
-            s0, s1 = (c * f1 - d * f0) / det, (c * f0 - a * f1) / det
-        elif f0 != 0.0 or f1 != 0.0:
-            q = half_cell / max(abs(f0), abs(f1))
-            s0, s1 = f0 * q, f1 * q
-        else:
-            # A stationary point that is no maximum: leave it along the
-            # direction of largest curvature, whichever way enters the box.
-            curvature, vectors = np.linalg.eigh(np.array([[a, c], [c, d]]))
-            if curvature[-1] <= 0.0:
-                break
-            s0, s1 = (vectors[:, -1] * half_cell).tolist()
-            ahead = max(abs(_into_box(x0 + s0) - x0), abs(_into_box(x1 + s1) - x1))
-            back = max(abs(_into_box(x0 - s0) - x0), abs(_into_box(x1 - s1) - x1))
-            if back > ahead:
-                s0, s1 = -s0, -s1
-        while True:
-            t0, t1 = _into_box(x0 + s0), _into_box(x1 + s1)
-            moved = max(abs(t0 - x0), abs(t1 - x1))
-            if moved <= REFINE_X_TOLERANCE:
-                break
-            trial = _periodogram_derivatives(y, tp, sp, (t0, t1))
-            if trial[0] >= value:  # False for NaN, which halves the step
-                break
-            s0, s1 = s0 / 2.0, s1 / 2.0
-        if moved <= REFINE_X_TOLERANCE:
-            break
-        x0, x1, (value, grad, hess) = t0, t1, trial
-        (g0, g1), ((h00, h01), (_, h11)) = grad.tolist(), hess.tolist()
-    return x0, x1
+    result = _projected_newton(lambda x: _periodogram_derivatives(y, tp, sp, x), start, half_cell,
+                               max_step=math.inf, max_halvings=math.inf)
+    return tuple(result.best_point.tolist())
 
 
 def initial_guess(

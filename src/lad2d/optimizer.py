@@ -41,8 +41,8 @@ class OptimResult:
     converged: bool
     # Why the descent stopped: "maxiter" (its step cap, the one case not
     # converged), "xtol" (a step moved nothing), "stalled" (the halvings ran
-    # out), and for LAD "ftol" (a step gained too little) or "singular" (no
-    # vertex to solve at), for LSE "stationary" (a zero gradient)
+    # out, or a non-finite start), for LAD "ftol" (a step gained too little)
+    # or "singular" (no vertex), for LSE "stationary" (a minimum's zero gradient)
     termination: str
     evaluations: int  # objective calls, the initial point included
 

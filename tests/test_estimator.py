@@ -468,8 +468,8 @@ def refinement_value(field, lam, mu):
     y = field.values / float(np.max(np.abs(field.values)))
     t, s = field.grid.t_values(), field.grid.s_values()
     tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
-    x = (estimator._into_box(float(lam)), estimator._into_box(float(mu)))
-    return estimator._periodogram_derivatives(y, tp, sp, x)[0]
+    x = np.clip([lam, mu], 0.0, np.pi).tolist()
+    return -estimator._periodogram_derivatives(y, tp, sp, x)[0]
 
 
 class TestRefinePeakFrequency:
@@ -552,8 +552,17 @@ class TestRefinePeakFrequency:
         np.testing.assert_allclose(got, unit, atol=1e-9)
 
 
+def ascent_derivatives(y, tp, sp, x):
+    """|z|^2, its gradient and its Hessian as numpy arrays: the negation, exact,
+    of what ``_periodogram_derivatives`` gives for the descent."""
+    value, grad, hess = estimator._periodogram_derivatives(y, tp, sp, list(x))
+    return -value, -np.array(grad), -np.array(hess)
+
+
 def reference_refine_peak_frequency(field, lam, mu):
-    """The former peak refinement loop, with 2x2 numpy bookkeeping."""
+    """The former peak refinement loop, a projected Newton ascent with 2x2
+    numpy bookkeeping and its own rules: Cramer's rule for the step, no
+    limit on its length or on the halvings."""
     tolerance = estimator.REFINE_X_TOLERANCE
     start = np.clip(np.array([lam, mu], dtype=float), 0.0, np.pi)
     scale = float(np.max(np.abs(field.values)))
@@ -565,7 +574,7 @@ def reference_refine_peak_frequency(field, lam, mu):
     half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
 
     x = start
-    value, grad, hess = estimator._periodogram_derivatives(y, tp, sp, x)
+    value, grad, hess = ascent_derivatives(y, tp, sp, x)
     if not (np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         return float(start[0]), float(start[1])
     for _ in range(estimator.REFINE_MAX_STEPS):
@@ -593,7 +602,7 @@ def reference_refine_peak_frequency(field, lam, mu):
             moved = float(np.max(np.abs(trial - x)))
             if moved <= tolerance:
                 break
-            trial_value, trial_grad, trial_hess = estimator._periodogram_derivatives(y, tp, sp, trial)
+            trial_value, trial_grad, trial_hess = ascent_derivatives(y, tp, sp, trial)
             if trial_value >= value:
                 break
             step /= 2.0
@@ -612,7 +621,7 @@ EDGE_STARTS = [
 
 
 @st.composite
-def bit_identity_cases(draw):
+def reference_cases(draw):
     """(field, starts): a ``refinement_fields`` field, or a zero field, at
     scale 1 or 1e+-150, on any grid or one whose lattice top sits an ulp
     below pi, with its top lattice peaks and three starts on or near the
@@ -634,15 +643,117 @@ def bit_identity_cases(draw):
     return field, peaks + edges
 
 
-class TestRefinementMatchesNumpyLoop:
+class TestRefinementAgainstReferenceLoop:
     @settings(max_examples=150, deadline=None)
-    @given(case=bit_identity_cases())
-    def test_same_float_bytes(self, case):
+    @given(case=reference_cases())
+    def test_in_the_box_and_at_or_above_the_reference(self, case):
         field, starts = case
         for lam, mu in starts:
             got = estimator._refine_peak_frequency(field, lam, mu)
             want = reference_refine_peak_frequency(field, lam, mu)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (lam, mu, got, want)
+            assert all(0.0 <= v <= np.pi for v in got), (lam, mu, got)
+            if np.any(field.values):
+                value, reference = refinement_value(field, *got), refinement_value(field, *want)
+                assert value >= reference * (1.0 - 1e-12), (lam, mu, got, want)
+            else:
+                assert got == want
+
+
+def quadratic(hessian, center, tilt=(0.0, 0.0), quartic=0.0, nan_beyond=math.inf):
+    """Derivatives of 0.5 d' H d + quartic sum(d^4) + tilt . x, d = x - center,
+    for the shared loop, NaN where x_0 > ``nan_beyond``, and the list of
+    points they were taken at."""
+    points = []
+
+    def derivatives(x):
+        points.append(list(x))
+        d = np.subtract(x, center)
+        value = 0.5 * d @ hessian @ d + quartic * np.sum(d**4) + np.dot(tilt, x)
+        grad = np.dot(hessian, d) + 4.0 * quartic * d**3 + tilt
+        hess = np.array(hessian, dtype=float) + np.diag(12.0 * quartic * d**2)
+        return (math.nan if x[0] > nan_beyond else float(value)), grad.tolist(), hess.tolist()
+
+    return derivatives, points
+
+
+#: The settings each caller passes: the peak refinement, the profiled least squares.
+REFINEMENT = dict(half_cell=0.01, max_step=math.inf, max_halvings=math.inf)
+LEAST_SQUARES = dict(half_cell=0.01, max_step=0.04, max_halvings=estimator.MAX_HALVINGS)
+
+
+def converges_inside(result, points):
+    # The tilt puts the minimum between floats, so no point is stationary
+    # and the last Newton step moves nothing.
+    assert result.termination == "xtol" and result.converged
+    np.testing.assert_allclose(result.best_point, [1.0, 2.0], atol=1e-12)
+
+
+def held_on_the_bound(result, points):
+    # The minimum lies at x_0 = -0.3: x_0 ends on 0, x_1 at its minimum there.
+    assert result.converged and result.best_point[0] <= estimator.REFINE_X_TOLERANCE
+    assert abs(result.best_point[1] - 1.0) < 1e-12
+
+
+def gradient_step_half_a_cell(result, points):
+    np.testing.assert_allclose(np.subtract(points[1], points[0]), [-0.01, -0.01 * 0.4 / 0.6], rtol=1e-9)
+
+
+def leaves_the_corner(result, points):
+    # At the corner the gradient points out of the box in x_1; with it
+    # zeroed the corner is a saddle, left half a cell along the negative
+    # curvature and into the box.
+    assert points[0] == [0.0, 0.0]
+    assert np.hypot(*points[1]) == pytest.approx(0.01, rel=1e-12)
+    assert min(points[1]) >= 0.0 and result.best_value < 0.0 and result.converged
+
+
+def halves_after_nan(result, points):
+    first, second = np.subtract(points[1], points[0]), np.subtract(points[2], points[0])
+    assert points[1][0] > 1.03
+    np.testing.assert_allclose(second, first / 2.0, rtol=1e-12)
+    assert result.converged and result.best_point[0] <= 1.03
+
+
+def stops_at_the_cap(result, points):
+    assert (result.iterations, result.converged, result.termination) == (1, False, "maxiter")
+
+
+SHARED_LOOP_CASES = {
+    "convex-inside": (
+        quadratic([[2.0, 0.5], [0.5, 4.0]], [1.0, 2.0], tilt=(1e-17, 1e-17), quartic=1.0),
+        [1.2, 1.9], converges_inside,
+    ),
+    "minimum-outside": (
+        quadratic([[2.0, 0.5], [0.5, 2.0]], [-0.3, 1.0], tilt=(0.0, -0.15)), [0.4, 0.8], held_on_the_bound,
+    ),
+    "indefinite": (quadratic([[-2.0, 0.0], [0.0, 2.0]], [1.0, 1.0]), [0.7, 1.2], gradient_step_half_a_cell),
+    "corner-saddle": (
+        quadratic([[2.0, -1.0], [-1.0, -2.0]], [0.0, 0.0], tilt=(0.0, 1e-14), quartic=1.0),
+        [0.0, 0.0], leaves_the_corner,
+    ),
+    "nan-trial": (
+        quadratic([[2.0, 0.0], [0.0, 2.0]], [1.2, 1.0], nan_beyond=1.03), [1.0, 1.0], halves_after_nan,
+    ),
+    "step-cap": (quadratic([[2.0, 0.0], [0.0, 2.0]], [1.2, 1.0]), [0.5, 0.5], stops_at_the_cap),
+}
+
+
+class TestProjectedNewton:
+    """``_projected_newton``, the loop of the peak refinement and of the
+    profiled least squares, on analytic objectives under each caller's settings."""
+
+    @pytest.mark.parametrize("settings", [REFINEMENT, LEAST_SQUARES], ids=["refinement", "least-squares"])
+    @pytest.mark.parametrize("case", SHARED_LOOP_CASES.values(), ids=SHARED_LOOP_CASES.keys())
+    def test_rule(self, case, settings, monkeypatch):
+        (derivatives, points), start, check = case
+        points.clear()
+        if check is stops_at_the_cap:
+            monkeypatch.setattr(estimator, "REFINE_MAX_STEPS", 1)
+        result = estimator._projected_newton(derivatives, start, **settings)
+        assert all(0.0 <= v <= np.pi for v in result.best_point)
+        assert result.evaluations == len(points)
+        assert np.abs(np.subtract(points[1], points[0])).max() <= settings["max_step"] * (1.0 + 1e-12)
+        check(result, points)
 
 
 def dense_amplitudes(data, freqs):
@@ -859,7 +970,8 @@ class TestNormalEquationsIdentity:
         y = rng.normal(size=(T, S))
         t, s = np.arange(1.0, T + 1), np.arange(1.0, S + 1)
         lams, mus = rng.uniform(0.0, np.pi, p), rng.uniform(0.0, np.pi, p)
-        _, rhs = estimator._normal_equations(y, t, s, lams, mus)
+        ct, cs = estimator._trig_rows(lams, t), estimator._trig_rows(mus, s)
+        _, rhs = estimator._normal_equations(y, ct, cs)
         ang_t, ang_s = np.multiply.outer(lams, t), np.multiply.outer(mus, s)
         ct = np.concatenate([np.cos(ang_t), np.sin(ang_t)])
         cs = np.concatenate([np.cos(ang_s), np.sin(ang_s)])
