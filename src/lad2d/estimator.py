@@ -324,8 +324,9 @@ def _projected_newton(
             direction = [v * (-half_cell / longest) for v in g]
         elif (longest := max(map(abs, direction))) > max_step:
             direction = [v * (max_step / longest) for v in direction]
-        moves = dict(zip(free, direction))
-        step = [moves.get(i, 0.0) for i in range(len(x))]
+        step = [0.0] * len(x)
+        for i, v in zip(free, direction):
+            step[i] = v
         if saddle and towards([-d for d in step])[1] > towards(step)[1]:
             step = [-d for d in step]
         for halvings in itertools.count():
