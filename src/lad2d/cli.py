@@ -26,7 +26,9 @@ from .estimator import FitError, asymptotic_variances, fit, parameter_names, rep
 from .model import ComponentParams, Grid, ModelParams, read_signal_text, write_signal_text
 from .montecarlo import emit_table, parse_grids, read_experiment_config, run_experiment
 from .noise import density_at_zero, noisy_observation, parse_noise_spec
-from .objective import LATTICE_REFINEMENT, PeakPickingError, periodogram_lattice, pick_peaks
+from .objective import (
+    LATTICE_REFINEMENT, PeakPickingError, periodogram_lattice, pick_peaks, with_lattice_dft,
+)
 from .texture import mean_absolute_pixel_error, texture_demo, write_pgm
 
 _COMPONENT_FLAG = re.compile(r"^--([ABlm])([1-9][0-9]*)$")
@@ -236,7 +238,8 @@ def asyvar(p, T, S, noise_text, out_path, component_flags) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def periodogram(in_path, p, refinement, out_path) -> None:
     """Dump the periodogram lattice as CSV and print the top-p peak list."""
-    data = _read_signal(in_path)
+    # One lattice DFT, kept by the field, serves the peaks and the CSV.
+    data = with_lattice_dft(_read_signal(in_path), refinement)
     peaks = pick_peaks(data, p, refinement)  # a field without p peaks leaves no files
     lams, mus, intensity = periodogram_lattice(data, refinement)
     lines = ["lambda,mu,I"]

@@ -20,6 +20,7 @@ frequencies).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -28,14 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AMPLITUDE_BOUND, Grid, ModelParams, SignalField, model_grid_values
+from .model import AMPLITUDE_BOUND, Grid, ModelParams, SignalField
+from .model import model_grid_values  # noqa: F401  (benchmark/spans.py wraps it here by name)
 from .noise import NoiseSpec, density_at_zero
 from .objective import (
     LATTICE_REFINEMENT,
     PeakPickingError,
+    _SpectralField,
     lad_objective_vec,
     lse_objective_vec,
     peak_candidates,
+    with_lattice_dft,
 )
 from .optimizer import OptimResult, l1_vertex
 
@@ -351,6 +355,17 @@ def _projected_newton(
                        evaluations=evaluations)
 
 
+@functools.lru_cache(maxsize=64)
+def _moment_rows(count: int) -> np.ndarray:
+    """The rows (1, x, x^2) (3 x count) of the positions x = 1 .. count, a
+    shared read-only array: the moment weights of the peak refinement and of
+    the profiled least squares."""
+    x = np.arange(1, count + 1, dtype=float)
+    rows = np.stack([np.ones_like(x), x, x * x])
+    rows.flags.writeable = False
+    return rows
+
+
 #: Index (a, b) of the weight t^a s^b that two frequency coordinates of one
 #: component put on their second derivative: lam lam -> t^2, lam mu -> t s,
 #: mu mu -> s^2 (rows and columns: lam, mu).
@@ -376,9 +391,7 @@ class _LeastSquaresProfile:
         self.amplitude_bound = amplitude_bound
         self.t, self.s = data.grid.t_values(), data.grid.s_values()
         self.sum_squares = float(np.vdot(data.values, data.values))
-        # Rows (1, t, t^2) and (1, s, s^2), as in _refine_peak_frequency.
-        self.tp = np.stack([np.ones_like(self.t), self.t, self.t * self.t])
-        self.sp = np.stack([np.ones_like(self.s), self.s, self.s * self.s])
+        self.tp, self.sp = _moment_rows(data.grid.T), _moment_rows(data.grid.S)
 
     def _rows(self, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _trig_rows(freqs[0::2], self.t), _trig_rows(freqs[1::2], self.s)
@@ -618,23 +631,34 @@ class _LeastAbsoluteFit:
 WINSOR_MADS = 10.0
 
 
-def _robustly_preprocessed(data: SignalField) -> SignalField:
+def _median_and_mad(values: np.ndarray) -> tuple[float, float]:
+    """The median of ``values`` and their median absolute deviation about it."""
+    med = float(np.median(values))
+    return med, float(np.median(np.abs(values - med)))
+
+
+def _robustly_preprocessed(
+    data: SignalField, median_and_mad: tuple[float, float] | None = None
+) -> _SpectralField:
     """Median-center, winsorize, then remove the residual mean; used only to
-    seed the optimizer.
+    seed the optimizer.  ``median_and_mad`` are those of ``data`` where the
+    caller has them (:func:`_median_and_mad` by default).
 
     Clipping tames isolated heavy-tailed spikes, which otherwise bury the
     signal peaks.  The final mean removal matters under asymmetric outlier
     contamination: a one-sided offset on a fraction of cells shifts the sample
     mean and would plant a dominant zero-frequency peak in the periodogram
     that steals a component slot (the model itself has no constant term).
+
+    The result keeps its lattice DFT (``objective._SpectralField``), so
+    residuals taken from it by ``minus`` need no FFT of their own.
     """
-    med = float(np.median(data.values))
+    med, mad = _median_and_mad(data.values) if median_and_mad is None else median_and_mad
     centered = data.values - med
-    mad = float(np.median(np.abs(centered)))
     if mad > 0.0:
         centered = np.clip(centered, -WINSOR_MADS * mad, WINSOR_MADS * mad)
     centered = centered - centered.mean()
-    return SignalField(data.grid, centered)
+    return _SpectralField(data.grid, centered)
 
 
 def _periodogram_derivatives(
@@ -658,47 +682,66 @@ def _periodogram_derivatives(
     return -(z.real**2 + z.imag**2), [-2.0 * (zc * zl).real, -2.0 * (zc * zm).real], hess
 
 
-def _refine_peak_frequency(field: SignalField, lam: float, mu: float) -> tuple[float, float]:
+class _UnitPeriodogram:
+    """Minus the periodogram of a field divided by its largest |value| (the
+    argmax is unchanged and the t^2, s^2 weights cannot overflow), as
+    :func:`_refine_peak_frequency` climbs it: built once per field and
+    shared by every refinement on that field.  ``y`` is None for a zero
+    field."""
+
+    def __init__(self, field: SignalField) -> None:
+        scale = float(np.max(np.abs(field.values)))
+        self.y = field.values / scale if scale > 0.0 else None
+        self.tp, self.sp = _moment_rows(field.grid.T), _moment_rows(field.grid.S)
+        self.half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
+
+    def __call__(self, x: list[float]) -> tuple[float, list[float], list[list[float]]]:
+        return _periodogram_derivatives(self.y, self.tp, self.sp, x)
+
+
+def _refine_peak_frequency(
+    field: SignalField | _UnitPeriodogram, lam: float, mu: float
+) -> tuple[float, float]:
     """Local maximizer of the continuous periodogram next to a lattice peak:
-    :func:`_projected_newton` on minus the periodogram of the field divided
-    by its largest |value| (the argmax is unchanged and the t^2, s^2 weights
-    cannot overflow), with gradient steps half a lattice cell long, Newton
-    steps as long as they come and halvings until the step moves nothing.  A
-    zero or non-finite field returns the lattice point; it never raises.
+    :func:`_projected_newton` on the field's :class:`_UnitPeriodogram` (or
+    on the one given, to share it between refinements), with gradient steps
+    half a lattice cell long, Newton steps as long as they come and halvings
+    until the step moves nothing.  A zero field returns the lattice point;
+    it never raises.
     """
     start = _into_box([float(lam), float(mu)])
-    scale = float(np.max(np.abs(field.values)))
-    if not scale > 0.0:
+    surface = field if isinstance(field, _UnitPeriodogram) else _UnitPeriodogram(field)
+    if surface.y is None:
         return start[0], start[1]
-    y = field.values / scale
-    t, s = field.grid.t_values(), field.grid.s_values()
-    tp, sp = np.stack([np.ones_like(t), t, t * t]), np.stack([np.ones_like(s), s, s * s])
-    half_cell = np.pi / (2.0 * LATTICE_REFINEMENT * min(field.grid.T, field.grid.S))
-    result = _projected_newton(lambda x: _periodogram_derivatives(y, tp, sp, x), start, half_cell,
-                               max_step=math.inf, max_halvings=math.inf)
+    result = _projected_newton(surface, start, surface.half_cell, max_step=math.inf,
+                               max_halvings=math.inf)
     return tuple(result.best_point.tolist())
 
 
 def initial_guess(
-    data: SignalField, p: int, *, amplitude_bound: float = AMPLITUDE_BOUND
+    data: SignalField, p: int, *, amplitude_bound: float = AMPLITUDE_BOUND,
+    preprocessed: SignalField | None = None,
 ) -> ModelParams:
     """Truth-agnostic starting point for the joint optimization.
 
     Runs on a centered, winsorized copy of the data so constant offsets and
-    isolated extreme values cannot hijack the start.  Components are located
-    one at a time: take the tallest remaining periodogram peak, sharpen it by
-    a continuous local search, refit all amplitudes at the frequencies found
-    so far (the model is linear there), and peel the partial fit off before
-    looking for the next peak.  Peeling keeps weak components visible next to
-    strong ones; the estimate itself still comes from the joint minimization.
-    The periodogram lattice is ``LATTICE_REFINEMENT`` times finer than the
-    Fourier frequencies.  Start amplitudes are clipped to the keyword-only
-    ``amplitude_bound``.
+    isolated extreme values cannot hijack the start: the keyword-only
+    ``preprocessed``, by default :func:`_robustly_preprocessed` of ``data``
+    (``fit`` builds it once and shares it with the rescue pass).  Components
+    are located one at a time: take the tallest remaining periodogram peak,
+    sharpen it by a continuous local search, refit all amplitudes at the
+    frequencies found so far (the model is linear there), and peel the
+    partial fit off before looking for the next peak.  Peeling keeps weak
+    components visible next to strong ones; the estimate itself still comes
+    from the joint minimization.  The periodogram lattice is
+    ``LATTICE_REFINEMENT`` times finer than the Fourier frequencies; it is
+    transformed once, and each peeled residual's lattice is that transform
+    less the partial fit's closed-form DFT.  Start amplitudes are clipped to
+    the keyword-only ``amplitude_bound``.
     """
     if not (amplitude_bound > 0):
         raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
-    clipped = _robustly_preprocessed(data)
-    t, s = data.grid.t_values(), data.grid.s_values()
+    clipped = _robustly_preprocessed(data) if preprocessed is None else with_lattice_dft(preprocessed)
     freqs: list[tuple[float, float]] = []
     coef = np.empty(0)
     residual = clipped
@@ -713,8 +756,7 @@ def initial_guess(
         freqs.append(_refine_peak_frequency(residual, lam, mu))
         coef = _amplitudes_given_frequencies(clipped, freqs)
         if k + 1 < p:
-            fitted = model_grid_values(_pack(coef, freqs), t, s)
-            residual = SignalField(data.grid, clipped.values - fitted)
+            residual = clipped.minus(_pack(coef, freqs))
     # Data at a huge scale can ask for amplitudes ModelParams cannot hold.
     coef = np.clip(coef, -amplitude_bound, amplitude_bound)
     return ModelParams.from_vector(_pack(coef, freqs), amplitude_bound)
@@ -727,7 +769,7 @@ RESCUE_HOPELESS_RATIO = 2.0
 
 
 def _rescue_missed_components(
-    clipped: SignalField,
+    clipped: _SpectralField,
     descent: _LeastAbsoluteFit | _LeastSquaresProfile,
     result: OptimResult,
 ) -> OptimResult:
@@ -749,19 +791,22 @@ def _rescue_missed_components(
     fitted component and reads several times it.  A non-finite incumbent
     never ends the pass.
 
-    The residual is taken from ``clipped``, the preprocessed data.  A point
-    is whatever ``descent`` minimizes over: for LAD all 4p parameters, whose
-    start refits the amplitudes on ``clipped``; for LSE the 2p frequencies,
-    the amplitudes being solved out.
+    The residual is taken from ``clipped``, the preprocessed data
+    (:func:`_robustly_preprocessed`), by ``clipped.minus``: its lattice is
+    ``clipped``'s DFT less the fit's closed-form one, so the pass runs no
+    FFT of its own.  The refinements of one residual's peaks share its
+    :class:`_UnitPeriodogram`.  A point is whatever ``descent`` minimizes
+    over: for LAD all 4p parameters, whose start refits the amplitudes on
+    ``clipped``; for LSE the 2p frequencies, the amplitudes being solved
+    out.
     """
-    t, s = clipped.grid.t_values(), clipped.grid.s_values()
     best = result
     vec = descent.vector(best.best_point)
     p = vec.size // 4
     scan = max(8, 2 * p)
     for _ in range(p):
         freqs = [(vec[4 * k + 2], vec[4 * k + 3]) for k in range(p)]
-        residual = SignalField(clipped.grid, clipped.values - model_grid_values(vec, t, s))
+        residual = clipped.minus(vec)
         candidates = peak_candidates(residual, same_lobe_only=True, limit=scan, exclude=freqs)
         if not candidates:
             break
@@ -772,9 +817,9 @@ def _rescue_missed_components(
             descent(descent.start(clipped, tallest)) >= RESCUE_HOPELESS_RATIO * best.best_value
         ):
             break
-        improved = False
+        improved, surface = False, _UnitPeriodogram(residual)
         for lam, mu, _ in candidates:
-            lam, mu = _refine_peak_frequency(residual, lam, mu)
+            lam, mu = _refine_peak_frequency(surface, lam, mu)
             new_freqs = list(freqs)
             new_freqs[weakest] = (lam, mu)
             trial = descent.start(clipped, new_freqs)
@@ -793,14 +838,14 @@ def _rescue_missed_components(
     return best
 
 
-def _scale_exponent(values: np.ndarray) -> int:
+def _scale_exponent(values: np.ndarray, mad: float) -> int:
     """The k that ``fit`` divides the data by 2^k with: floor(log2) of the
     robust scale, so the scaled data's lies in [1, 2), the scale the LAD
     descent's step unit of 0.1 on amplitudes is sized for.  The
-    robust scale is the MAD about the median, else the largest |value|;
-    a zero field gets k = 0.  k is raised where the largest |value| would
-    scale to 2^400 or more, so squares and sums of the data stay finite."""
-    mad = float(np.median(np.abs(values - np.median(values))))
+    robust scale is ``mad``, the values' MAD about their median
+    (:func:`_median_and_mad`), else the largest |value|; a zero field gets
+    k = 0.  k is raised where the largest |value| would scale to 2^400 or
+    more, so squares and sums of the data stay finite."""
     largest = float(np.max(np.abs(values)))
     scale = mad if 0.0 < mad < math.inf else largest
     if not scale > 0.0:
@@ -845,7 +890,10 @@ def fit(
     residual's periodogram peaks, unless the tallest of them, swapped in
     unrefined, reads ``RESCUE_HOPELESS_RATIO`` times the fit's objective or
     more; both search a lattice a fixed ``LATTICE_REFINEMENT`` times finer
-    than the Fourier frequencies.
+    than the Fourier frequencies.  They share one preprocessed copy of the
+    data (:func:`_robustly_preprocessed`, from the same median and MAD that
+    set k) and one 2-D FFT of it: every later lattice is that transform
+    less a model's closed-form DFT.
 
     ``noise_for_se`` attaches asymptotic standard errors (robust objective
     only); it supplies the noise density at zero analytically.
@@ -864,14 +912,19 @@ def fit(
     if not (amplitude_bound > 0):
         raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
 
-    k = _scale_exponent(data.values)
+    med, mad = _median_and_mad(data.values)
+    k = _scale_exponent(data.values, mad)
     data = SignalField(data.grid, np.ldexp(data.values, -k))
     try:
         bound = math.ldexp(amplitude_bound, -k)
     except OverflowError:  # data below about 1e-302: no float amplitude reaches the box
         bound = math.inf
     if init is None:
-        x0 = initial_guess(data, p, amplitude_bound=bound).as_vector()
+        # The median and MAD scale by 2^-k with the data, exactly unless a
+        # value under- or overflows; an overflowed pair is taken again.
+        shared = (math.ldexp(med, -k), math.ldexp(mad, -k)) if math.isfinite(med + mad) else None
+        clipped = _robustly_preprocessed(data, shared)
+        x0 = initial_guess(data, p, amplitude_bound=bound, preprocessed=clipped).as_vector()
     else:
         x0 = init.as_vector()
         amplitudes = x0.reshape(p, 4)[:, :2]  # a view into x0
@@ -883,7 +936,7 @@ def fit(
     result = descent.minimize(start)
     if init is None:
         # ``result`` by keyword: benchmark/spans.py reads it by that name.
-        result = _rescue_missed_components(_robustly_preprocessed(data), descent, result=result)
+        result = _rescue_missed_components(clipped, descent, result=result)
     vec = descent.vector(result.best_point)
     value = result.best_value if method == "lad" else lse_objective_vec(vec, data)
     try:

@@ -9,11 +9,13 @@ code in :mod:`lad2d.theory`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SignalField, model_grid_values
+from .model import Grid, SignalField, model_grid_values
 
 
 #: Lattice refinement R of the fit's start and rescue: the periodogram lattice
@@ -46,6 +48,65 @@ def lse_objective_vec(theta: np.ndarray, data: SignalField) -> float:
     return float(np.add.reduce(r, axis=None) / data.grid.n)
 
 
+def _lattice_dft(values: np.ndarray, refinement: int) -> np.ndarray:
+    """The first R T + 1 rows and R S + 1 columns of the 2-D DFT of
+    ``values`` zero-padded to 2 R T x 2 R S, copied so that the padded
+    transform is freed."""
+    L, M = refinement * values.shape[0], refinement * values.shape[1]
+    return np.fft.fft(np.fft.rfft(values, n=2 * M, axis=1), n=2 * L, axis=0)[: L + 1].copy()
+
+
+def _model_lattice_dft(theta: np.ndarray, grid: Grid, refinement: int) -> np.ndarray:
+    """The lattice DFT of ``model_grid_values(theta, t, s)`` in closed form.
+
+    A component is 1/2 (A - iB) e^{i theta} + 1/2 (A + iB) e^{-i theta} with
+    theta = lam t + mu s, so its DFT is the rank-2 sum 1/2 (A - iB) u+ v+' +
+    1/2 (A + iB) u- v-', where u+- are rows 0 .. R T of the length-2 R T FFT
+    of e^{+-i lam t}, t = 1 .. T (the phase of t starting at 1 included), and
+    v+- the same over s.  The whole model is one (R T + 1) x 2p times
+    2p x (R S + 1) product.
+    """
+    A, B, lam, mu = np.reshape(theta, (-1, 4)).T
+    L, M = refinement * grid.T, refinement * grid.S
+    u = np.fft.fft(np.exp(1j * np.multiply.outer(np.concatenate([lam, -lam]), grid.t_values())), n=2 * L)
+    v = np.fft.fft(np.exp(1j * np.multiply.outer(np.concatenate([mu, -mu]), grid.s_values())), n=2 * M)
+    weights = 0.5 * np.concatenate([A - 1j * B, A + 1j * B])
+    return (u[:, : L + 1].T * weights) @ v[:, : M + 1]
+
+
+@dataclass(frozen=True, eq=False)
+class _SpectralField(SignalField):
+    """A field that keeps its lattice DFT at ``refinement``, so that
+    :func:`periodogram_lattice` on it runs the 2-D FFT once, on the first
+    call, and later only takes a modulus.  :meth:`minus` gives the residual
+    of a model with the DFT subtracted in closed form: a field and every
+    residual of it share one FFT."""
+
+    refinement: int = LATTICE_REFINEMENT
+
+    @functools.cached_property
+    def lattice_dft(self) -> np.ndarray:
+        return _lattice_dft(self.values, self.refinement)
+
+    def minus(self, theta: np.ndarray) -> _SpectralField:
+        """The field less ``model_grid_values(theta, t, s)``, carrying this
+        field's lattice DFT less the model's (:func:`_model_lattice_dft`)."""
+        grid = self.grid
+        fitted = model_grid_values(theta, grid.t_values(), grid.s_values())
+        residual = _SpectralField(grid, self.values - fitted, self.refinement)
+        # Seeds the cached property: the residual never runs an FFT of its own.
+        residual.__dict__["lattice_dft"] = self.lattice_dft - _model_lattice_dft(theta, grid, self.refinement)
+        return residual
+
+
+def with_lattice_dft(data: SignalField, refinement: int = LATTICE_REFINEMENT) -> _SpectralField:
+    """``data`` as a field that keeps its lattice DFT at ``refinement``
+    (itself if it already does)."""
+    if isinstance(data, _SpectralField) and data.refinement == refinement:
+        return data
+    return _SpectralField(data.grid, data.values, refinement)
+
+
 def periodogram_lattice(
     data: SignalField, refinement: int = LATTICE_REFINEMENT
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,7 +116,10 @@ def periodogram_lattice(
     is the first R T + 1 rows and R S + 1 columns of a 2-D DFT zero-padded to
     2 R T x 2 R S.  The DFT sums over t = 0 .. T - 1 where the model's t runs
     from 1 to T; that shift (and the one in s) is only a phase, so the
-    modulus is the periodogram's.
+    modulus is the periodogram's.  A field that keeps its lattice DFT at
+    ``refinement`` (:func:`with_lattice_dft`, a residual from
+    :meth:`_SpectralField.minus`) gives the modulus of that DFT, running the
+    FFT only if it has none yet; any other field runs the FFT.
     """
     if refinement < 1:
         raise ValueError(f"refinement must be >= 1, got {refinement}")
@@ -63,7 +127,7 @@ def periodogram_lattice(
     # pi * n / n rounds above pi for some n (13, 26, 47, ...); clamp the top.
     lams = np.minimum(np.pi * np.arange(L + 1) / L, np.pi)
     mus = np.minimum(np.pi * np.arange(M + 1) / M, np.pi)
-    z = np.fft.fft(np.fft.rfft(data.values, n=2 * M, axis=1), n=2 * L, axis=0)[: L + 1]
+    z = with_lattice_dft(data, refinement).lattice_dft
     return lams, mus, (z.real**2 + z.imag**2) / data.grid.n
 
 

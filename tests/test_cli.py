@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import lad2d
+from lad2d import objective
 from lad2d import fit, mean_absolute_pixel_error, parse_noise_spec, read_pgm, read_signal_text
 from lad2d.cli import main
 from lad2d.model import Grid
@@ -241,6 +242,22 @@ class TestPeriodogram:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "lambda,mu,I"
         assert len(lines) == 1 + 81 * 81
+
+    @pytest.mark.parametrize("refinement", [[], ["--refinement", "3"]], ids=["default", "R3"])
+    def test_one_lattice_fft_per_run(self, runner, tmp_path, monkeypatch, refinement):
+        sig = tmp_path / "sig.txt"
+        invoke(runner, ["simulate", *MODEL4, "--T", "24", "--S", "30", "--noise", "t1",
+                        "--out", str(sig)])
+        ffts, transform = [], objective._lattice_dft
+
+        def counting(values, r):
+            ffts.append(r)
+            return transform(values, r)
+
+        monkeypatch.setattr(objective, "_lattice_dft", counting)
+        invoke(runner, ["periodogram", "--in", str(sig), "--p", "2", *refinement,
+                        "--out", str(tmp_path / "p.csv")])
+        assert ffts == [int(refinement[1]) if refinement else 2]
 
     def test_zero_field_exits_1(self, runner, tmp_path):
         zero = tmp_path / "zero.txt"

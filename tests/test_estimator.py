@@ -21,7 +21,7 @@ from lad2d import (
     match_components,
     synthesize_signal,
 )
-from lad2d import estimator, optimizer
+from lad2d import estimator, objective, optimizer
 from lad2d.estimator import (
     EstimateReport,
     FitError,
@@ -39,6 +39,11 @@ from lad2d.theory import periodogram
 
 from conftest import random_model
 from simplex import SimplexConfig, default_fit_config, nelder_mead
+
+
+def scale_exponent(values: np.ndarray) -> int:
+    """``estimator._scale_exponent`` at the values' own MAD, as ``fit`` calls it."""
+    return estimator._scale_exponent(values, estimator._median_and_mad(values)[1])
 
 
 def inverse_block_diagonal_oracle(A: float, B: float) -> tuple[float, float, float]:
@@ -386,12 +391,12 @@ class TestScaleRule:
         assert scaled.objective_value / scale == pytest.approx(unit.objective_value, rel=1e-6)
 
     def test_scale_exponent_reads_the_mad_then_the_largest_value(self):
-        assert estimator._scale_exponent(np.array([0.0, 1.0, 2.0, 3.0, 100.0])) == 0
-        assert estimator._scale_exponent(np.array([0.0, 1.0, 2.0, 5.0, 100.0])) == 1
-        assert estimator._scale_exponent(np.array([0.0, 0.0, 0.0, -5.0])) == 2
-        assert estimator._scale_exponent(np.zeros(4)) == 0
+        assert scale_exponent(np.array([0.0, 1.0, 2.0, 3.0, 100.0])) == 0
+        assert scale_exponent(np.array([0.0, 1.0, 2.0, 5.0, 100.0])) == 1
+        assert scale_exponent(np.array([0.0, 0.0, 0.0, -5.0])) == 2
+        assert scale_exponent(np.zeros(4)) == 0
         # A MAD of 1e-300 under a largest value of 1e300 (about 2^996.6).
-        assert estimator._scale_exponent(np.array([1e-300, -1e-300, 0.0, 1e300])) == 597
+        assert scale_exponent(np.array([1e-300, -1e-300, 0.0, 1e300])) == 597
 
 
 class TestInitialGuess:
@@ -658,6 +663,17 @@ class TestRefinementAgainstReferenceLoop:
             else:
                 assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=reference_cases())
+    def test_a_shared_surface_refines_byte_for_byte(self, case):
+        # The rescue pass builds one surface per residual for all its refinements.
+        field, starts = case
+        surface = estimator._UnitPeriodogram(field)
+        for lam, mu in starts:
+            assert estimator._refine_peak_frequency(surface, lam, mu) == estimator._refine_peak_frequency(
+                field, lam, mu
+            )
+
 
 def quadratic(hessian, center, tilt=(0.0, 0.0), quartic=0.0, nan_beyond=math.inf):
     """Derivatives of 0.5 d' H d + quartic sum(d^4) + tilt . x, d = x - center,
@@ -797,7 +813,7 @@ class SimplexDescent(estimator._LeastAbsoluteFit):
 def fit_scaled(data):
     """``fit``'s scale rule: the data and the default amplitude bound times
     2^-k, and k (``estimator._scale_exponent``)."""
-    k = estimator._scale_exponent(data.values)
+    k = scale_exponent(data.values)
     return SignalField(data.grid, np.ldexp(data.values, -k)), math.ldexp(1e6, -k), k
 
 
@@ -1436,6 +1452,73 @@ class TestAdaptiveSimplexQuality:
         assert np.mean(gaps <= 1e-12) >= 0.9
         assert all(r.converged for r in descents)
         assert max(r.evaluations for r in descents) < max(r.evaluations for r in simplexes)
+
+
+def per_search_fft_initial_guess(data, p):
+    """``initial_guess`` with a lattice FFT for every search: each peeled
+    residual is a plain ``SignalField``, so its periodogram transforms it."""
+    clipped = SignalField(data.grid, estimator._robustly_preprocessed(data).values)
+    t, s = data.grid.t_values(), data.grid.s_values()
+    freqs, residual = [], clipped
+    for _ in range(p):
+        lam, mu = peak_candidates(residual, same_lobe_only=True, limit=1, exclude=freqs)[0][:2]
+        freqs.append(estimator._refine_peak_frequency(residual, lam, mu))
+        coef = estimator._amplitudes_given_frequencies(clipped, freqs)
+        fitted = estimator.model_grid_values(estimator._pack(coef, freqs), t, s)
+        residual = SignalField(data.grid, clipped.values - fitted)
+    return estimator._pack(np.clip(coef, -1e6, 1e6), freqs)
+
+
+def calls_of(monkeypatch, module, name):
+    """Count the calls of ``module.name`` (which keeps working)."""
+    calls = []
+    target = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneSpectrumPerFit:
+    """A fit transforms its preprocessed data once: the start's peeled
+    residuals and the rescue's residuals take their lattices from that DFT
+    less a model's closed-form one.  It takes the data's median and MAD once."""
+
+    FIELDS = [
+        (ONE_COMPONENT, 25, "gaussian:sigma=0.1"),
+        (TWO_COMPONENTS, 50, "t1"),
+        (THREE_COMPONENTS, 40, "t1"),
+    ]
+
+    @pytest.mark.parametrize("method", ["lad", "lse"])
+    @pytest.mark.parametrize("truth,n,noise", FIELDS, ids=["p1-25-gaussian", "p2-50-t1", "p3-40-t1"])
+    def test_one_fft_and_one_robust_scale_per_fit(self, monkeypatch, truth, n, noise, method):
+        ffts = calls_of(monkeypatch, objective, "_lattice_dft")
+        stats = calls_of(monkeypatch, estimator, "_median_and_mad")
+        searches = calls_of(monkeypatch, estimator, "peak_candidates")
+        for seed in range(3):
+            data = noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
+            del ffts[:], stats[:], searches[:]
+            fit(data, truth.p, method=method)
+            assert len(ffts) == 1 and len(stats) == 1
+            assert len(searches) > truth.p  # the start's p searches and the rescue's
+
+    @pytest.mark.parametrize(
+        "truth,n,noise",
+        [(TWO_COMPONENTS, 50, "t1"), (TWO_COMPONENTS, 50, "gaussian:sigma=1"), (THREE_COMPONENTS, 40, "t1")],
+    )
+    def test_initial_guess_alone_matches_an_fft_per_search(self, truth, n, noise):
+        for seed in range(6):
+            data = noisy_observation(truth, Grid(n, n), parse_noise_spec(noise), seed)
+            want = per_search_fft_initial_guess(data, truth.p).tobytes()
+            assert initial_guess(data, truth.p).as_vector().tobytes() == want
+            for preprocessed in (estimator._robustly_preprocessed(data),
+                                 SignalField(data.grid, estimator._robustly_preprocessed(data).values)):
+                got = initial_guess(data, truth.p, preprocessed=preprocessed)
+                assert got.as_vector().tobytes() == want
 
 
 class TestMatching:
