@@ -22,7 +22,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .estimator import FitError, asymptotic_variances, fit, parameter_names, report_to_csv, report_to_text
+from .estimator import (
+    METHODS, FitError, asymptotic_variances, fit, parameter_names, report_to_csv, report_to_text,
+)
 from .model import ComponentParams, Grid, ModelParams, read_signal_text, write_signal_text
 from .montecarlo import emit_table, parse_grids, read_experiment_config, run_experiment
 from .noise import density_at_zero, noisy_observation, parse_noise_spec
@@ -153,7 +155,7 @@ def simulate(p, T, S, noise_text, seed, out_path, component_flags) -> None:
 @main.command(context_settings={"ignore_unknown_options": True})
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--p", "p", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--method", type=click.Choice(["lad", "lse"]), default="lad", show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default="lad", show_default=True)
 @click.option("--se-noise", "se_noise_text", default=None,
               help="Noise spec used to attach asymptotic standard errors (lad only).")
 @click.option("--out", "out_stem", required=True, type=click.Path(),
@@ -177,7 +179,7 @@ def estimate(in_path, p, method, se_noise_text, out_stem, component_flags) -> No
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes; results are identical for any value. Above 1, "
                    "set OPENBLAS_NUM_THREADS=1 so the workers do not oversubscribe the cores.")
 @click.option("--reps", type=int, default=None, help="Replications per grid; overrides the config's reps.")
@@ -259,7 +261,7 @@ def periodogram(in_path, p, refinement, out_path) -> None:
 @click.option("--S", "S", type=int, required=True)
 @click.option("--noise", "noise_text", default="slash", show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--method", type=click.Choice(["lad", "lse"]), default="lad", show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default="lad", show_default=True)
 @click.option("--out", "out_stem", required=True, type=click.Path())
 @click.argument("component_flags", nargs=-1, type=click.UNPROCESSED)
 def texture(p, T, S, noise_text, seed, method, out_stem, component_flags) -> None:

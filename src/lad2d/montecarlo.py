@@ -9,6 +9,8 @@ reduces records in replication order.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .estimator import (
     MAX_MATCHED_COMPONENTS,
+    METHODS,
     MIN_GRID_SIZE,
     FitError,
     aligned_vector,
@@ -35,22 +38,27 @@ class ExperimentSpec:
     A spec that no replication could run is rejected before any fit: more
     than ``MAX_MATCHED_COMPONENTS`` components (their estimates could not
     be matched to the truth), a grid under ``MIN_GRID_SIZE`` on a side
-    (``fit`` would reject it) or a negative base seed.  Each message names
-    the config key and the limit.
+    (``fit`` would reject it) or a negative base seed.  So is one whose
+    table would not read back, since :func:`parse_table` tells cells apart
+    by grid and method: a grid or a method listed twice, or no method.
+    Each message names the config key.  Configs, ``lad2d mc --reps/--grids``
+    and specs built in Python all pass through this one check.
     """
 
     truth: ModelParams
     grids: tuple[Grid, ...]
     noise: NoiseSpec
-    methods: tuple[str, ...] = ("lad", "lse")
+    methods: tuple[str, ...] = METHODS
     replications: int = 1000
     base_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise ValueError(f"reps must be at least 1, got {self.replications}")
         if not self.grids:
-            raise ValueError("grid list must be non-empty")
+            raise ValueError("grids must list at least one TxS grid")
+        if not self.methods:
+            raise ValueError(f"methods must name at least one of {', '.join(METHODS)}")
         if self.truth.p > MAX_MATCHED_COMPONENTS:
             raise ValueError(
                 f"truth.* defines {self.truth.p} components; at most "
@@ -62,11 +70,15 @@ class ExperimentSpec:
                     f"grids entry {grid.T}x{grid.S} is below the "
                     f"{MIN_GRID_SIZE}x{MIN_GRID_SIZE} that a fit needs"
                 )
+            if self.grids.count(grid) > 1:
+                raise ValueError(f"grids lists {grid.T}x{grid.S} more than once")
         if self.base_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         for m in self.methods:
-            if m not in ("lad", "lse"):
-                raise ValueError(f"unknown method {m!r}")
+            if m not in METHODS:
+                raise ValueError(f"methods entry {m!r} is not one of {', '.join(METHODS)}")
+            if self.methods.count(m) > 1:
+                raise ValueError(f"methods lists {m!r} more than once")
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,7 @@ def _fit_one_replication(args) -> list[tuple[object, bool]]:
         try:
             report = fit(data, truth.p, method=method)
         except Exception as exc:  # one bad replication must not abort the run
-            if not isinstance(exc, (PeakPickingError, FitError, np.linalg.LinAlgError)):
+            if not isinstance(exc, (PeakPickingError, FitError)):
                 warnings.warn(
                     f"replication {rep} on {grid.T}x{grid.S} ({method}) counted as a hard "
                     f"failure: {type(exc).__name__}: {exc}",
@@ -148,19 +160,14 @@ def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
                     if method == "lad":
                         continue
                 used.append(np.asarray(vec))
-            if used:
-                stacked = np.vstack(used)
-                average = stacked.mean(axis=0)
-                mse = ((stacked - truth_vec) ** 2).mean(axis=0)
-            else:
-                average = np.full(truth_vec.size, np.nan)
-                mse = np.full(truth_vec.size, np.nan)
+            # With no usable fit, one NaN row makes AE and MSE NaN.
+            stacked = np.vstack(used) if used else np.full((1, truth_vec.size), np.nan)
+            average = stacked.mean(axis=0)
+            mse = ((stacked - truth_vec) ** 2).mean(axis=0)
             asy_var = None
             if method == "lad" and spec.noise.family != "none":
                 g0 = density_at_zero(spec.noise)
-                asy_var = tuple(
-                    float(v) for v in asymptotic_variances(spec.truth, g0, grid).per_parameter
-                )
+                asy_var = tuple(map(float, asymptotic_variances(spec.truth, g0, grid).per_parameter))
             cells.append(
                 MethodCellStats(
                     grid=grid,
@@ -176,10 +183,6 @@ def run_experiment(spec: ExperimentSpec, n_jobs: int = 1) -> ExperimentResult:
     return ExperimentResult(param_names=names, replications=spec.replications, cells=tuple(cells))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_table(result: ExperimentResult, format: str = "csv") -> str:
     """Render the result; ``csv`` round-trips losslessly via :func:`parse_table`."""
     if format == "csv":
@@ -189,70 +192,72 @@ def emit_table(result: ExperimentResult, format: str = "csv") -> str:
     raise ValueError(f"unknown table format {format!r}")
 
 
-_FIXED_COLUMNS = ["T", "S", "method", "stat", "replications", "n_used", "n_hard_failures", "n_nonconverged"]
+_COUNT_COLUMNS = ["replications", "n_used", "n_hard_failures", "n_nonconverged"]
+_FIXED_COLUMNS = ["T", "S", "method", "stat", *_COUNT_COLUMNS]
+
+#: The stats a cell writes, one row each and in this order; AsyVar only where the cell has it.
+_STATS = ("AE", "MSE", "AsyVar")
+
+
+def _stat_rows(cell: MethodCellStats) -> list[tuple[str, tuple[float, ...]]]:
+    """The cell's ``(stat, values)`` rows, the one row list both emitters walk."""
+    values = (cell.average, cell.mse, cell.asy_var)
+    return [(stat, v) for stat, v in zip(_STATS, values) if v is not None]
 
 
 def _emit_csv(result: ExperimentResult) -> str:
-    header = _FIXED_COLUMNS + list(result.param_names)
-    lines = [",".join(header)]
+    lines = [",".join(_FIXED_COLUMNS + list(result.param_names))]
     for cell in result.cells:
-        fixed = [
-            str(cell.grid.T),
-            str(cell.grid.S),
-            cell.method,
-            "{stat}",
-            str(result.replications),
-            str(cell.n_used),
-            str(cell.n_hard_failures),
-            str(cell.n_nonconverged),
-        ]
-        stats = [("AE", cell.average), ("MSE", cell.mse)]
-        if cell.asy_var is not None:
-            stats.append(("AsyVar", cell.asy_var))
-        for stat_name, values in stats:
-            row = list(fixed)
-            row[3] = stat_name
-            row.extend(_fmt(v) for v in values)
-            lines.append(",".join(row))
+        counts = (result.replications, cell.n_used, cell.n_hard_failures, cell.n_nonconverged)
+        for stat, values in _stat_rows(cell):
+            fixed = [cell.grid.T, cell.grid.S, cell.method, stat, *counts]
+            lines.append(",".join([*map(str, fixed), *(repr(float(v)) for v in values)]))
     return "\n".join(lines) + "\n"
 
 
 def parse_table(csv_text: str) -> ExperimentResult:
-    """Inverse of the CSV emitter."""
-    lines = [ln for ln in csv_text.splitlines() if ln.strip()]
+    """Inverse of the CSV emitter: ``parse_table(emit_table(r)) == r``.
+
+    Cells are read in the order they were written; a cell is the run of
+    consecutive rows that share T, S and method.  A cell that lacks its AE
+    or MSE row, repeats a stat, has rows that disagree on their counts, or
+    repeats an earlier cell's grid and method raises ``ValueError``.
+    """
+    lines = [ln.split(",") for ln in csv_text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty table")
-    header = lines[0].split(",")
-    if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
-        raise ValueError(f"unexpected table header: {lines[0]!r}")
-    param_names = tuple(header[len(_FIXED_COLUMNS) :])
+    header, n_fixed = lines[0], len(_FIXED_COLUMNS)
+    if header[:n_fixed] != _FIXED_COLUMNS:
+        raise ValueError(f"unexpected table header: {','.join(header)!r}")
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
+    for parts in lines[1:]:
         if len(parts) != len(header):
             raise ValueError(f"row has {len(parts)} fields, expected {len(header)}")
-        rows.append(parts)
-    replications = int(rows[0][4]) if rows else 0
+        rows.append((dict(zip(_FIXED_COLUMNS, parts)), tuple(float(v) for v in parts[n_fixed:])))
+    replications = int(rows[0][0]["replications"]) if rows else 0
     cells: list[MethodCellStats] = []
-    i = 0
-    while i < len(rows):
-        T, S, method = int(rows[i][0]), int(rows[i][1]), rows[i][2]
-        group = [r for r in rows if int(r[0]) == T and int(r[1]) == S and r[2] == method]
-        by_stat = {r[3]: tuple(float(v) for v in r[len(_FIXED_COLUMNS) :]) for r in group}
-        cells.append(
-            MethodCellStats(
-                grid=Grid(T, S),
-                method=method,
-                average=by_stat["AE"],
-                mse=by_stat["MSE"],
-                asy_var=by_stat.get("AsyVar"),
-                n_used=int(rows[i][5]),
-                n_hard_failures=int(rows[i][6]),
-                n_nonconverged=int(rows[i][7]),
-            )
-        )
-        i += len(group)
-    return ExperimentResult(param_names=param_names, replications=replications, cells=tuple(cells))
+    for (T, S, method), group in itertools.groupby(
+        rows, key=lambda row: (int(row[0]["T"]), int(row[0]["S"]), row[0]["method"])
+    ):
+        where = f"cell {T}x{S} {method}"
+        if any(c.grid == Grid(T, S) and c.method == method for c in cells):
+            raise ValueError(f"{where} appears twice in the table")
+        stats: dict[str, tuple[float, ...]] = {}
+        counts = set()
+        for fixed, values in group:
+            if fixed["stat"] not in _STATS or fixed["stat"] in stats:
+                raise ValueError(f"{where} has an unknown or repeated stat {fixed['stat']!r}")
+            stats[fixed["stat"]] = values
+            counts.add(tuple(int(fixed[name]) for name in _COUNT_COLUMNS))
+        for stat in ("AE", "MSE"):
+            if stat not in stats:
+                raise ValueError(f"{where} has no {stat} row")
+        if len(counts) > 1 or next(iter(counts))[0] != replications:
+            raise ValueError(f"{where} has rows that disagree on their counts")
+        _, n_used, n_hard, n_nonconv = counts.pop()
+        average, mse, asy_var = map(stats.get, _STATS)
+        cells.append(MethodCellStats(Grid(T, S), method, average, mse, asy_var, n_used, n_hard, n_nonconv))
+    return ExperimentResult(tuple(header[n_fixed:]), replications, tuple(cells))
 
 
 def _emit_text(result: ExperimentResult) -> str:
@@ -265,17 +270,12 @@ def _emit_text(result: ExperimentResult) -> str:
     last_grid = None
     for cell in result.cells:
         grid_label = f"({cell.grid.T},{cell.grid.S})"
-        stats = [("AE", cell.average), ("MSE", cell.mse)]
-        if cell.asy_var is not None:
-            stats.append(("AsyVar", cell.asy_var))
-        for stat_name, values in stats:
+        for stat, values in _stat_rows(cell):
             shown = grid_label if grid_label != last_grid else ""
             last_grid = grid_label
-            label = f"{cell.method.upper()} {stat_name}"
-            row = f"{shown:<10}{label:<{label_width}}" + "".join(
-                f"{v:>{col_width}.4E}" for v in values
-            )
-            lines.append(row)
+            label = f"{cell.method.upper()} {stat}"
+            values_text = "".join(f"{v:>{col_width}.4E}" for v in values)
+            lines.append(f"{shown:<10}{label:<{label_width}}{values_text}")
         lines.append(
             f"{'':<10}{'(used/failed/nonconv)':<{label_width}}"
             f"{cell.n_used}/{cell.n_hard_failures}/{cell.n_nonconverged}"
@@ -305,12 +305,11 @@ def parse_grids(text: str) -> tuple[Grid, ...]:
 
 #: The keys a config may set besides ``truth.*``, each with its default.
 _CONFIG_DEFAULTS = {
-    "noise": "none",
-    "grids": "",
-    "reps": "1000",
-    "seed": "0",
-    "methods": "lad,lse",
+    "noise": "none", "grids": "", "reps": "1000", "seed": "0", "methods": ",".join(METHODS),
 }
+
+#: ``truth.A<k>``, ``truth.B<k>``, ``truth.lambda<k>``, ``truth.mu<k>``; k counts from 1.
+_TRUTH_KEY = re.compile(r"truth\.(A|B|lambda|mu)([1-9][0-9]*)")
 
 
 def read_experiment_config(text: str) -> ExperimentSpec:
@@ -321,9 +320,12 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     ``seed`` and ``methods`` (comma list).  Any other key raises
     ``ValueError`` naming it: ``fit`` sizes its descent and lattice from p,
     the grid and the method, and :func:`run_experiment` fixes which
-    non-converged fits count.  A ``truth.*``, ``reps`` or ``seed`` value
-    that is not a number raises ``ValueError`` naming the key and the
-    value.  Lines starting with '#' are comments.
+    non-converged fits count.  Truth components are numbered 1..p like the
+    CLI's ``--A1`` flags: ``truth.A0`` is an unknown key, and a component
+    left out below the highest one is named as missing.  A ``truth.*``,
+    ``reps`` or ``seed`` value that is not a number raises ``ValueError``
+    naming the key and the value.  Lines starting with '#' are comments.
+    The spec itself checks the rest (:class:`ExperimentSpec`).
     """
 
     def number(key: str, value: str, kind: type[int] | type[float]) -> int | float:
@@ -346,15 +348,12 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     truth_fields: dict[int, dict[str, float]] = {}
     simple = dict(_CONFIG_DEFAULTS)
     for key, value in entries.items():
-        if key.startswith("truth."):
-            tail = key[len("truth.") :]
-            for prefix in ("lambda", "mu", "A", "B"):
-                if tail.startswith(prefix) and tail[len(prefix) :].isdigit():
-                    k = int(tail[len(prefix) :])
-                    truth_fields.setdefault(k, {})[prefix] = number(key, value, float)
-                    break
-            else:
-                raise ValueError(f"unknown truth key {key!r}")
+        truth_key = _TRUTH_KEY.fullmatch(key)
+        if truth_key:
+            field, k = truth_key.groups()
+            truth_fields.setdefault(int(k), {})[field] = number(key, value, float)
+        elif key.startswith("truth."):
+            raise ValueError(f"unknown truth key {key!r}")
         elif key in simple:
             simple[key] = value
         else:
@@ -365,21 +364,15 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     if not truth_fields:
         raise ValueError("config must define at least truth.A1/B1/lambda1/mu1")
     comps = []
-    for k in sorted(truth_fields):
-        fields = truth_fields[k]
+    for k in range(1, max(truth_fields) + 1):
+        fields = truth_fields.get(k, {})
         missing = {"A", "B", "lambda", "mu"} - set(fields)
         if missing:
             raise ValueError(f"truth component {k} missing {sorted(missing)}")
         comps.append(ComponentParams(fields["A"], fields["B"], fields["lambda"], fields["mu"]))
-    truth = ModelParams(tuple(comps))
-
-    grids = parse_grids(simple["grids"])
-    if not grids:
-        raise ValueError("config must define grids=TxS[,TxS...]")
-
     return ExperimentSpec(
-        truth=truth,
-        grids=grids,
+        truth=ModelParams(tuple(comps)),
+        grids=parse_grids(simple["grids"]),
         noise=parse_noise_spec(simple["noise"]),
         methods=tuple(m.strip() for m in simple["methods"].split(",") if m.strip()),
         replications=number("reps", simple["reps"], int),

@@ -409,14 +409,19 @@ class TestRejectedInputs:
             (["mc", "--config", "{seven}", "--out", "{out}/r"], "truth.*"),
             (["mc", "--config", "{grid6}", "--out", "{out}/r"], "grids entry 6x6"),
             (["mc", "--config", "{seed}", "--out", "{out}/r"], "seed must be >= 0"),
+            (["mc", "--config", "{base}", "--out", "{out}/r", "--jobs", "0"], "'--jobs'"),
+            (["mc", "--config", "{base}", "--out", "{out}/r", "--jobs", "-2"], "'--jobs'"),
+            (["mc", "--config", "{base}", "--out", "{out}/r", "--grids", "25x25,25x25"],
+             "grids lists 25x25 more than once"),
         ],
-        ids=["periodogram-p0", "texture-4x4", "simulate-seed-1", "mc-p7", "mc-grid6x6", "mc-seed-1"],
+        ids=["periodogram-p0", "texture-4x4", "simulate-seed-1", "mc-p7", "mc-grid6x6", "mc-seed-1",
+             "mc-jobs0", "mc-jobs-2", "mc-grid-twice"],
     )
     def test_exits_2_before_writing(self, runner, tmp_path, args, named):
         sig = tmp_path / "sig.txt"
         invoke(runner, ["simulate", *MODEL4, "--T", "12", "--S", "12", "--out", str(sig)])
         base = MC_CONFIG.format(reps=1)
-        configs = {"seven": base + SEVEN_COMPONENTS,
+        configs = {"base": base, "seven": base + SEVEN_COMPONENTS,
                    "grid6": re.sub(r"(?m)^grids.*$", "grids = 6x6", base),
                    "seed": re.sub(r"(?m)^seed.*$", "seed = -1", base)}
         for name, text in configs.items():

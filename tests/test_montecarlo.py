@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from lad2d import (
     read_experiment_config,
     run_experiment,
 )
-from lad2d.estimator import aligned_vector, fit
+from lad2d.estimator import METHODS, aligned_vector, fit
 from lad2d.montecarlo import ExperimentResult, ExperimentSpec, MethodCellStats
 from lad2d.noise import noisy_observation, replication_seed
 
@@ -104,8 +105,14 @@ class TestRunExperiment:
             ({"grids": (Grid(16, 16), Grid(7, 20))}, r"grids entry 7x20 is below the 8x8 "),
             ({"grids": (Grid(20, 7),)}, r"grids entry 20x7 is below the 8x8 "),
             ({"base_seed": -1}, r"seed must be >= 0, got -1"),
+            # parse_table tells cells apart by grid and method, so each pair must be distinct.
+            ({"grids": (Grid(16, 16), Grid(20, 16), Grid(16, 16))}, r"grids lists 16x16 more than once"),
+            ({"methods": ("lad", "lse", "lad")}, r"methods lists 'lad' more than once"),
+            ({"methods": ()}, r"methods must name at least one of lad, lse"),
+            ({"methods": ("ridge",)}, r"methods entry 'ridge' is not one of lad, lse"),
         ],
-        ids=["p7", "grid7x20", "grid20x7", "seed-1"],
+        ids=["p7", "grid7x20", "grid20x7", "seed-1", "grid-twice", "method-twice", "no-method",
+             "unknown-method"],
     )
     def test_spec_rejects_what_no_replication_can_run(self, one_component_truth, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -130,6 +137,8 @@ class TestFailurePolicy:
                 raise PeakPickingError("insufficient peaks")
             if outcome == "crash":
                 raise ValueError("initial point must lie inside the bounds")
+            if outcome == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
             from lad2d.estimator import EstimateReport
 
             vec = one_component_truth.as_vector() + (0.5 if outcome == "off" else 0.0)
@@ -165,6 +174,17 @@ class TestFailurePolicy:
         assert cell.n_hard_failures == 1
         assert cell.n_used == 2
         assert max(cell.mse) == 0.0
+
+    def test_linalg_error_is_a_warned_hard_failure(self, one_component_truth, monkeypatch):
+        # fit documents only FitError and PeakPickingError; a LinAlgError that escapes it is a defect.
+        with pytest.warns(RuntimeWarning, match="LinAlgError: Singular matrix") as record:
+            result = self._run_with_fake_fits(
+                one_component_truth, monkeypatch, {"lad": ["ok", "singular", "ok"]}
+            )
+        assert len(record) == 1
+        (cell,) = result.cells
+        assert cell.n_hard_failures == 1
+        assert cell.n_used == 2
 
     def test_lad_nonconverged_excluded(self, one_component_truth, monkeypatch):
         result = self._run_with_fake_fits(
@@ -224,7 +244,89 @@ def make_result(rng: np.random.Generator, p: int = 1, with_asy: bool = True) -> 
     return ExperimentResult(param_names=names, replications=100, cells=tuple(cells))
 
 
+@st.composite
+def result_shapes(draw) -> ExperimentResult:
+    """Any result a spec can produce: 1-3 distinct grids in any order, any
+    non-empty subset and order of the methods, p = 1..3, with or without noise
+    (no noise, no AsyVar rows)."""
+    p = draw(st.integers(1, 3))
+    sizes = st.tuples(st.integers(8, 300), st.integers(8, 300))
+    grids = [Grid(*size) for size in draw(st.lists(sizes, min_size=1, max_size=3, unique=True))]
+    methods = draw(st.permutations(METHODS))[: draw(st.integers(1, len(METHODS)))]
+    noisy = draw(st.booleans())
+    values = st.tuples(*[st.floats(allow_nan=False, width=64)] * (4 * p))
+    counts = st.integers(0, 10**6)
+    cells = tuple(
+        MethodCellStats(
+            grid=grid,
+            method=method,
+            average=draw(values),
+            mse=draw(values),
+            asy_var=draw(values) if noisy and method == "lad" else None,
+            n_used=draw(counts),
+            n_hard_failures=draw(counts),
+            n_nonconverged=draw(counts),
+        )
+        for grid in grids
+        for method in methods
+    )
+    names = tuple(f"{k}{i + 1}" for i in range(p) for k in ("A", "B", "lambda", "mu"))
+    return ExperimentResult(param_names=names, replications=draw(st.integers(1, 10**6)), cells=cells)
+
+
+def table_rows(result: ExperimentResult) -> list[str]:
+    return emit_table(result, "csv").splitlines()
+
+
 class TestTables:
+    @given(result_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_csv_round_trip_over_result_shapes(self, result):
+        assert parse_table(emit_table(result, "csv")) == result
+
+    def test_cell_without_ae_is_rejected(self):
+        rows = table_rows(make_result(np.random.default_rng(7)))
+        del rows[1]  # the first cell's AE row
+        with pytest.raises(ValueError, match=r"cell 10x12 lad has no AE row"):
+            parse_table("\n".join(rows))
+
+    def test_repeated_stat_is_rejected(self):
+        rows = table_rows(make_result(np.random.default_rng(7)))
+        rows.insert(3, rows[2])  # the first cell's MSE row, twice
+        with pytest.raises(ValueError, match=r"cell 10x12 lad has an unknown or repeated stat 'MSE'"):
+            parse_table("\n".join(rows))
+
+    def test_a_grid_and_method_written_twice_is_rejected(self):
+        # cells lad, lse, lad on one grid: an unordered read merged the two lad cells
+        lad, lse = make_result(np.random.default_rng(7)).cells[:2]
+        result = ExperimentResult(("A1", "B1", "lambda1", "mu1"), 100, (lad, lse, lad))
+        with pytest.raises(ValueError, match=r"cell 10x12 lad appears twice"):
+            parse_table(emit_table(result, "csv"))
+
+    def test_adjacent_duplicate_cells_are_rejected(self):
+        # cells lad, lad on one grid run together into one cell with each stat twice
+        lad = make_result(np.random.default_rng(7)).cells[0]
+        result = ExperimentResult(("A1", "B1", "lambda1", "mu1"), 100, (lad, lad))
+        with pytest.raises(ValueError, match=r"cell 10x12 lad has an unknown or repeated stat 'AE'"):
+            parse_table(emit_table(result, "csv"))
+
+    def test_rows_that_disagree_on_counts_are_rejected(self):
+        rows = table_rows(make_result(np.random.default_rng(7)))
+        fields = rows[2].split(",")
+        fields[5] = str(int(fields[5]) + 1)  # n_used of the first cell's MSE row
+        rows[2] = ",".join(fields)
+        with pytest.raises(ValueError, match=r"cell 10x12 lad has rows that disagree on their counts"):
+            parse_table("\n".join(rows))
+
+    def test_config_tables_read_back_to_the_same_text(self):
+        # Text, not results: a hard failure leaves NaN, which compares unequal to itself.
+        for path in sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg")):
+            spec = dataclasses.replace(
+                read_experiment_config(path.read_text()), replications=1, grids=(Grid(12, 12),)
+            )
+            csv = emit_table(run_experiment(spec), "csv")
+            assert emit_table(parse_table(csv), "csv") == csv, path.name
+
     def test_csv_round_trip_exact(self):
         rng = np.random.default_rng(12)
         result = make_result(rng)
@@ -326,6 +428,15 @@ class TestConfig:
             ),
             ("grids = 16x16,6x6", r"grids entry 6x6 is below the 8x8 "),
             ("seed = -1", r"seed must be >= 0, got -1"),
+            # Components are numbered 1..p with no gaps, like the --A1 ... flags.
+            ("truth.A3=1\ntruth.B3=1\ntruth.lambda3=0.9\ntruth.mu3=0.9",
+             r"truth component 2 missing \['A', 'B', 'lambda', 'mu'\]"),
+            ("truth.A0=1\ntruth.B0=1\ntruth.lambda0=0.9\ntruth.mu0=0.9", r"unknown truth key 'truth\.A0'"),
+            ("truth.mu01=0.5", r"unknown truth key 'truth\.mu01'"),
+            # Each table cell is one grid and one method.
+            ("grids = 16x16, 20x20, 16x16", r"grids lists 16x16 more than once"),
+            ("methods = lad,lse,lad", r"methods lists 'lad' more than once"),
+            ("methods =", r"methods must name at least one of lad, lse"),
         ],
     )
     def test_misspelt_or_unknown_setting_is_named(self, line, message):
