@@ -45,15 +45,5 @@ from .texture import (
     texture_demo,
     write_pgm,
 )
-from .theory import (
-    evaluate_model,
-    lad_objective,
-    lse_objective,
-    periodogram,
-    residual_field,
-    smooth_abs,
-    smoothed_lad_objective,
-    trig_sum,
-)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .estimator import (
-    METHODS, FitError, asymptotic_variances, fit, parameter_names, report_to_csv, report_to_text,
+    METHODS, PARAM_KINDS, EstimateReport, FitError, asymptotic_variances, fit, parameter_names,
 )
 from .model import ComponentParams, Grid, ModelParams, read_signal_text, write_signal_text
 from .montecarlo import emit_table, parse_grids, read_experiment_config, run_experiment
@@ -108,6 +108,53 @@ def _read_signal(path: str):
         return read_signal_text(_read_text(path))
     except ValueError as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
+
+
+def _report_components(report: EstimateReport):
+    """(output number, (A, B, lambda, mu), their standard errors or None) of
+    each component in descending-energy order, every number a Python float."""
+    se = report.std_errors
+    for out_k, k in enumerate(report.params_hat.canonical_order(), start=1):
+        c = report.params_hat.components[k]
+        errors = None if se is None else tuple(map(float, se[4 * k : 4 * k + 4]))
+        yield out_k, tuple(map(float, (c.A, c.B, c.lam, c.mu))), errors
+
+
+def report_to_csv(report: EstimateReport) -> str:
+    """One-row CSV: the fit's summary, every component's values, then every
+    component's standard errors when the report has them."""
+    header = ["method", "p", "T", "S", "objective", "converged", "iterations"]
+    row = [report.method, str(report.params_hat.p), str(report.grid.T), str(report.grid.S),
+           repr(float(report.objective_value)), str(report.converged).lower(),
+           str(report.iterations)]
+    se_header, se_row = [], []
+    for out_k, values, errors in _report_components(report):
+        header += [f"{kind}{out_k}" for kind in PARAM_KINDS]
+        row += map(repr, values)
+        if errors is not None:
+            se_header += [f"se_{kind}{out_k}" for kind in PARAM_KINDS]
+            se_row += map(repr, errors)
+    return ",".join(header + se_header) + "\n" + ",".join(row + se_row) + "\n"
+
+
+def report_to_text(report: EstimateReport) -> str:
+    """Human-readable summary block; every number is the shortest repr of a
+    Python float, as in :func:`report_to_csv`."""
+    lines = [f"method: {report.method}", f"grid: {report.grid.T} x {report.grid.S}",
+             f"objective value: {float(report.objective_value)!r}",
+             f"converged: {report.converged} (iterations: {report.iterations})"]
+    if report.g0_used is not None:
+        lines.append(f"noise density at zero used for SEs: {float(report.g0_used)!r}")
+    for out_k, values, errors in _report_components(report):
+        lines.append(f"component {out_k}: " + _named(values))
+        if errors is not None:
+            lines.append("  std errors: " + _named(errors))
+    lines += [f"note: {note}" for note in report.diagnostics]
+    return "\n".join(lines) + "\n"
+
+
+def _named(values: tuple[float, ...]) -> str:
+    return " ".join(f"{kind}={value!r}" for kind, value in zip(PARAM_KINDS, values))
 
 
 class _Main(click.Group):

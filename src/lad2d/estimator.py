@@ -150,8 +150,7 @@ class EstimateReport:
     converged: bool
     evaluations: int = 0  # objective calls of the descent and of a rescue re-run it kept
     termination: str = ""  # why the final descent stopped (``OptimResult.termination``)
-    asy_cov: np.ndarray | None = None  # rate-scaled, 4p x 4p
-    std_errors: np.ndarray | None = None  # sqrt of asy_cov diagonal
+    std_errors: np.ndarray | None = None  # sqrt of ``asymptotic_variances(...).per_parameter``
     g0_used: float | None = None
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
@@ -978,7 +977,6 @@ def fit(
         else:
             g0 = density_at_zero(noise_for_se)
             asy = asymptotic_variances(params_hat, g0, data.grid)
-            report.asy_cov = asy.covariance
             report.std_errors = np.sqrt(asy.per_parameter)
             report.g0_used = g0
     return report
@@ -1015,54 +1013,3 @@ def aligned_vector(estimated: ModelParams, truth: ModelParams) -> np.ndarray:
     perm = match_components(estimated, truth)
     comps = tuple(estimated.components[j] for j in perm)
     return ModelParams(comps).as_vector()
-
-
-def report_to_csv(report: EstimateReport) -> str:
-    """One-row CSV; components in descending-energy order."""
-    order = report.params_hat.canonical_order()
-    p = report.params_hat.p
-    header = ["method", "p", "T", "S", "objective", "converged", "iterations"]
-    row = [
-        report.method,
-        str(p),
-        str(report.grid.T),
-        str(report.grid.S),
-        repr(float(report.objective_value)),
-        str(report.converged).lower(),
-        str(report.iterations),
-    ]
-    for out_k, k in enumerate(order, start=1):
-        c = report.params_hat.components[k]
-        for kind, value in zip(PARAM_KINDS, (c.A, c.B, c.lam, c.mu)):
-            header.append(f"{kind}{out_k}")
-            row.append(repr(float(value)))
-    if report.std_errors is not None:
-        for out_k, k in enumerate(order, start=1):
-            for j, kind in enumerate(PARAM_KINDS):
-                header.append(f"se_{kind}{out_k}")
-                row.append(repr(float(report.std_errors[4 * k + j])))
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
-
-
-def report_to_text(report: EstimateReport) -> str:
-    """Human-readable summary block; every number is the shortest repr of a
-    Python float, as in :func:`report_to_csv`."""
-    order = report.params_hat.canonical_order()
-    lines = [
-        f"method: {report.method}",
-        f"grid: {report.grid.T} x {report.grid.S}",
-        f"objective value: {float(report.objective_value)!r}",
-        f"converged: {report.converged} (iterations: {report.iterations})",
-    ]
-    if report.g0_used is not None:
-        lines.append(f"noise density at zero used for SEs: {float(report.g0_used)!r}")
-    for out_k, k in enumerate(order, start=1):
-        c = report.params_hat.components[k]
-        A, B, lam, mu = map(float, (c.A, c.B, c.lam, c.mu))
-        lines.append(f"component {out_k}: A={A!r} B={B!r} lambda={lam!r} mu={mu!r}")
-        if report.std_errors is not None:
-            A, B, lam, mu = map(float, report.std_errors[4 * k : 4 * k + 4])
-            lines.append(f"  std errors: A={A!r} B={B!r} lambda={lam!r} mu={mu!r}")
-    for note in report.diagnostics:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ The signal model is a sum of p plane waves
 observed at integer positions t = 1..T, s = 1..S (1-based on purpose: every
 downstream formula assumes it).  Fields are stored row-major as (T, S) float64
 arrays and are frozen after construction so they can be shared freely.  The
-pointwise model and the trigonometric-sum lemmas live in :mod:`lad2d.theory`.
+pointwise model and the trigonometric-sum lemmas are restated for the tests in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -214,10 +215,13 @@ def read_signal_text(text: str) -> SignalField:
         raise ValueError(f"signal header must be two integers, got {lines[0]!r}") from exc
     if len(lines) != T + 1:
         raise ValueError(f"expected {T} data rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        row = [float(tok) for tok in line.split()]
+    rows = [line.split() for line in lines[1:]]
+    for i, row in enumerate(rows, start=1):
         if len(row) != S:
             raise ValueError(f"row {i} has {len(row)} values, expected {S}")
-        rows.append(row)
+        for j, token in enumerate(row):
+            try:
+                row[j] = float(token)
+            except ValueError:
+                raise ValueError(f"row {i}, column {j + 1}: {token!r} is not a number") from None
     return SignalField(Grid(T, S), np.array(rows))

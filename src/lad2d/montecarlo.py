@@ -27,7 +27,9 @@ from .estimator import (
     parameter_names,
 )
 from .model import ComponentParams, Grid, ModelParams
-from .noise import NoiseSpec, density_at_zero, noisy_observation, parse_noise_spec, replication_seed
+from .noise import (
+    NoiseSpec, _number, density_at_zero, noisy_observation, parse_noise_spec, replication_seed,
+)
 from .objective import PeakPickingError
 
 
@@ -328,13 +330,6 @@ def read_experiment_config(text: str) -> ExperimentSpec:
     The spec itself checks the rest (:class:`ExperimentSpec`).
     """
 
-    def number(key: str, value: str, kind: type[int] | type[float]) -> int | float:
-        try:
-            return kind(value)
-        except ValueError:
-            wanted = "an integer" if kind is int else "a number"
-            raise ValueError(f"config key {key!r} needs {wanted}, got {value!r}") from None
-
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -351,7 +346,7 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         truth_key = _TRUTH_KEY.fullmatch(key)
         if truth_key:
             field, k = truth_key.groups()
-            truth_fields.setdefault(int(k), {})[field] = number(key, value, float)
+            truth_fields.setdefault(int(k), {})[field] = _number("config", key, value)
         elif key.startswith("truth."):
             raise ValueError(f"unknown truth key {key!r}")
         elif key in simple:
@@ -375,6 +370,6 @@ def read_experiment_config(text: str) -> ExperimentSpec:
         grids=parse_grids(simple["grids"]),
         noise=parse_noise_spec(simple["noise"]),
         methods=tuple(m.strip() for m in simple["methods"].split(",") if m.strip()),
-        replications=number("reps", simple["reps"], int),
-        base_seed=number("seed", simple["seed"], int),
+        replications=_number("config", "reps", simple["reps"], int),
+        base_seed=_number("config", "seed", simple["seed"], int),
     )

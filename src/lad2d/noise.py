@@ -163,6 +163,15 @@ def _key_values(text: str, allowed: tuple[str, ...], clause: str) -> dict[str, s
     return fields
 
 
+def _number(clause: str, key: str, value: str, kind: type = float) -> int | float:
+    """``kind(value)``; text that is not one raises a ``ValueError`` naming the key."""
+    try:
+        return kind(value)
+    except ValueError:
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"{clause} key {key!r} needs {wanted}, got {value!r}") from None
+
+
 def parse_noise_spec(text: str) -> NoiseSpec:
     """Parse the textual form, e.g. ``gaussian:sigma=0.1+outliers:frac=0.2,offset=auto``."""
     text = text.strip()
@@ -173,17 +182,16 @@ def parse_noise_spec(text: str) -> NoiseSpec:
         if "frac" not in fields:
             raise ValueError(f"outlier clause needs frac=, got {tail!r}")
         offset_text = fields.get("offset", "auto")
-        offset = None if offset_text == "auto" else float(offset_text)
-        contamination = Contamination(float(fields["frac"]), offset)
+        offset = None if offset_text == "auto" else _number("outlier", "offset", offset_text)
+        contamination = Contamination(_number("outlier", "frac", fields["frac"]), offset)
     else:
         base = text
     family, _, args = base.partition(":")
     family = family.lower()
     if family not in FAMILIES:
         raise ValueError(f"unknown noise family {family!r}; expected one of {FAMILIES}")
-    sigma = 1.0
-    if args:
-        if family != "gaussian":
-            raise ValueError(f"unsupported noise arguments {args!r} for family {family!r}")
-        sigma = float(_key_values(args, ("sigma",), "noise").get("sigma", sigma))
+    if args and family != "gaussian":
+        raise ValueError(f"unsupported noise arguments {args!r} for family {family!r}")
+    fields = _key_values(args, ("sigma",), "noise")
+    sigma = _number("noise", "sigma", fields["sigma"]) if "sigma" in fields else 1.0
     return NoiseSpec(family, sigma, contamination)

@@ -3,8 +3,8 @@ periodogram peak picking.
 
 The periodogram drives frequency initialization: its p sharpest sufficiently
 separated peaks on a refined lattice locate the component frequencies.  The
-single-point periodogram and the objectives on ``ModelParams`` are reference
-code in :mod:`lad2d.theory`.
+single-point periodogram and the objectives on ``ModelParams`` are restated for
+the tests in ``tests/reference.py``.
 """
 
 from __future__ import annotations

@@ -17,23 +17,7 @@ from .noise import NoiseSpec, noisy_observation
 
 
 class PgmFormatError(ValueError):
-    """Base class for PGM parsing problems."""
-
-
-class UnsupportedPgmVariantError(PgmFormatError):
-    """Magic number is a PNM variant other than binary P5."""
-
-
-class MalformedPgmHeaderError(PgmFormatError):
-    """Header is not 'P5 <width> <height> <maxval>'."""
-
-
-class PgmMaxvalError(PgmFormatError):
-    """Only maxval 255 (one byte per pixel) is supported."""
-
-
-class TruncatedPgmPayloadError(PgmFormatError):
-    """Fewer pixel bytes than width * height."""
+    """Bytes that are not a binary P5 image with maxval 255 and an exact payload."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +85,11 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int],
         while j < len(data) and not data[j : j + 1].isspace():
             j += 1
         if j == i:
-            raise MalformedPgmHeaderError("malformed header: missing field")
+            raise PgmFormatError("malformed header: missing field")
         try:
             tokens.append(int(data[i:j]))
         except ValueError as exc:
-            raise MalformedPgmHeaderError(f"malformed header: non-numeric field {data[i:j]!r}") from exc
+            raise PgmFormatError(f"malformed header: non-numeric field {data[i:j]!r}") from exc
         i = j
     return tokens, i
 
@@ -113,21 +97,21 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int],
 def read_pgm(data: bytes) -> GrayImage:
     """Parse binary P5 bytes produced by :func:`write_pgm` (maxval must be 255)."""
     if data[:2] == b"P2":
-        raise UnsupportedPgmVariantError("unsupported PGM variant: ASCII 'P2' (only binary 'P5')")
+        raise PgmFormatError("unsupported PGM variant: ASCII 'P2' (only binary 'P5')")
     if data[:2] != b"P5":
-        raise MalformedPgmHeaderError(f"malformed header: bad magic {data[:2]!r}")
+        raise PgmFormatError(f"malformed header: bad magic {data[:2]!r}")
     (width, height, maxval), pos = _read_header_tokens(data, 3, 2)
     if width < 1 or height < 1:
-        raise MalformedPgmHeaderError(f"malformed header: bad dimensions {width}x{height}")
+        raise PgmFormatError(f"malformed header: bad dimensions {width}x{height}")
     if maxval != 255:
-        raise PgmMaxvalError(f"unsupported maxval {maxval}: must be 255")
+        raise PgmFormatError(f"unsupported maxval {maxval}: must be 255")
     # Exactly one whitespace byte separates the header from the payload.
     if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise MalformedPgmHeaderError("malformed header: missing separator before payload")
+        raise PgmFormatError("malformed header: missing separator before payload")
     payload = data[pos + 1 :]
     expected = width * height
     if len(payload) < expected:
-        raise TruncatedPgmPayloadError(f"truncated payload: {len(payload)} bytes, expected {expected}")
+        raise PgmFormatError(f"truncated payload: {len(payload)} bytes, expected {expected}")
     if len(payload) > expected:
         raise PgmFormatError(f"trailing data after pixel payload: {len(payload) - expected} extra bytes")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)

@@ -1,7 +1,7 @@
-"""Verification-only reference code: no fit, experiment or CLI command calls it.
+"""Reference code for the tests: no fit, experiment or CLI command calls it.
 
-Everything here is a slow, direct statement of a quantity the runtime modules
-compute another way, or a quantity that only the lemma tests look at.  The
+Everything here is a slow, direct statement of a quantity the package
+computes another way, or a quantity that only the lemma tests look at.  The
 tests and the acceptance suite check against it:
 
 * :func:`evaluate_model`, :func:`residual_field`, :func:`lad_objective` and
@@ -15,7 +15,8 @@ tests and the acceptance suite check against it:
   index-weighted trigonometric sums whose large-grid limits the lemma tests
   check.
 
-No runtime module imports this one; ``lad2d`` re-exports its names.
+It lives beside the tests, as the Nelder-Mead oracle in ``simplex.py`` does,
+so the installed package carries none of it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 
 import numpy as np
 
-from .model import Grid, ModelParams, SignalField, model_grid_values
-from .objective import lad_objective_vec, lse_objective_vec
+from lad2d.model import Grid, ModelParams, SignalField, model_grid_values
+from lad2d.objective import lad_objective_vec, lse_objective_vec
 
 _TRIG_KINDS = ("cos2", "sin2", "cos", "sin", "sincos")
 

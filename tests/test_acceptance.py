@@ -21,14 +21,9 @@ from lad2d import (
     asymptotic_variances,
     density_at_zero,
     emit_table,
-    evaluate_model,
-    lad_objective,
-    lse_objective,
     mean_absolute_pixel_error,
     parse_table,
-    periodogram,
     read_pgm,
-    smooth_abs,
     synthesize_signal,
     texture_demo,
     write_pgm,
@@ -38,9 +33,11 @@ from lad2d.estimator import aligned_vector, fit
 from lad2d.montecarlo import ExperimentSpec, run_experiment
 from lad2d.noise import noisy_observation, replication_seed
 from lad2d.texture import GrayImage
-from lad2d.theory import trig_sum_batch
 
 from conftest import random_field, random_model
+from reference import (
+    evaluate_model, lad_objective, lse_objective, periodogram, smooth_abs, trig_sum_batch,
+)
 from test_model import lemma_limit
 from test_objective import naive_mean_abs_residual, naive_mean_sq_residual, naive_periodogram
 

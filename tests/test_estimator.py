@@ -22,22 +22,21 @@ from lad2d import (
     synthesize_signal,
 )
 from lad2d import estimator, objective, optimizer
+from lad2d.cli import report_to_csv, report_to_text
 from lad2d.estimator import (
     EstimateReport,
     FitError,
     aligned_vector,
     initial_guess,
     parameter_names,
-    report_to_csv,
-    report_to_text,
 )
 from lad2d.montecarlo import read_experiment_config
 from lad2d.noise import density_at_zero, noisy_observation, parse_noise_spec, replication_seed
 from lad2d.objective import LATTICE_REFINEMENT, lad_objective_vec, lse_objective_vec, peak_candidates
 from lad2d.optimizer import OptimResult
-from lad2d.theory import periodogram
 
 from conftest import random_model
+from reference import periodogram
 from simplex import SimplexConfig, default_fit_config, nelder_mead
 
 

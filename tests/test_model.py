@@ -10,16 +10,14 @@ from lad2d import (
     Grid,
     ModelParams,
     SignalField,
-    evaluate_model,
     read_signal_text,
     synthesize_signal,
-    trig_sum,
     write_signal_text,
 )
 from lad2d.model import model_grid_values
-from lad2d.theory import trig_sum_batch
 
 from conftest import random_model
+from reference import evaluate_model, trig_sum, trig_sum_batch
 
 
 def lemma_limit(kind: str, k1: int, k2: int) -> float:
@@ -252,3 +250,7 @@ class TestTextSerialization:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             read_signal_text(text)
+
+    def test_bad_cell_is_named(self):
+        with pytest.raises(ValueError, match="row 2, column 2: 'x' is not a number"):
+            read_signal_text("2 2\n1 2\n3 x\n")

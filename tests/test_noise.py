@@ -189,9 +189,13 @@ class TestSpecText:
             ("gaussian:sigma", "noise item 'sigma' is not key=value"),
             ("slash+outliers:frac", "outlier item 'frac' is not key=value"),
             ("gaussian:tau=1", "unknown noise key 'tau'"),
+            ("t1+outliers:frac=abc", "outlier key 'frac' needs a number, got 'abc'"),
+            ("t1+outliers:frac=0.2,offset=far", "outlier key 'offset' needs a number, got 'far'"),
+            ("gaussian:sigma=wide", "noise key 'sigma' needs a number, got 'wide'"),
         ],
         ids=["misspelt-outlier-key", "repeated-sigma", "repeated-frac", "bare-sigma", "bare-frac",
-             "unknown-noise-key"],
+             "unknown-noise-key", "frac-not-a-number", "offset-not-a-number",
+             "sigma-not-a-number"],
     )
     def test_bad_key_is_named(self, text, message):
         with pytest.raises(ValueError, match=message):

@@ -12,14 +12,7 @@ from lad2d import (
     ModelParams,
     PeakPickingError,
     SignalField,
-    evaluate_model,
-    lad_objective,
-    lse_objective,
-    periodogram,
     pick_peaks,
-    residual_field,
-    smooth_abs,
-    smoothed_lad_objective,
     synthesize_signal,
 )
 from lad2d import objective
@@ -34,6 +27,10 @@ from lad2d.objective import (
 )
 
 from conftest import random_field, random_model
+from reference import (
+    evaluate_model, lad_objective, lse_objective, periodogram, residual_field, smooth_abs,
+    smoothed_lad_objective,
+)
 
 
 def naive_mean_abs_residual(params: ModelParams, data: SignalField) -> float:
