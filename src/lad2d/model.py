@@ -224,4 +224,6 @@ def read_signal_text(text: str) -> SignalField:
                 row[j] = float(token)
             except ValueError:
                 raise ValueError(f"row {i}, column {j + 1}: {token!r} is not a number") from None
+            if not math.isfinite(row[j]):
+                raise ValueError(f"row {i}, column {j + 1}: {token!r} is not a finite number")
     return SignalField(Grid(T, S), np.array(rows))

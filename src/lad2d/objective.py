@@ -51,9 +51,12 @@ def lse_objective_vec(theta: np.ndarray, data: SignalField) -> float:
 def _lattice_dft(values: np.ndarray, refinement: int) -> np.ndarray:
     """The first R T + 1 rows and R S + 1 columns of the 2-D DFT of
     ``values`` zero-padded to 2 R T x 2 R S, copied so that the padded
-    transform is freed."""
+    transform is freed.  The transform along t runs over the rows of the
+    transposed half-spectrum, which are contiguous: the same values, bit for
+    bit, as the transform along axis 0, and faster."""
     L, M = refinement * values.shape[0], refinement * values.shape[1]
-    return np.fft.fft(np.fft.rfft(values, n=2 * M, axis=1), n=2 * L, axis=0)[: L + 1].copy()
+    half = np.ascontiguousarray(np.fft.rfft(values, n=2 * M, axis=1).T)
+    return np.fft.fft(half, n=2 * L, axis=1)[:, : L + 1].T.copy()
 
 
 def _model_lattice_dft(theta: np.ndarray, grid: Grid, refinement: int) -> np.ndarray:

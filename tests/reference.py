@@ -13,7 +13,10 @@ tests and the acceptance suite check against it:
   continuously differentiable surrogate of |x| and the objective built on it;
 * :func:`trig_sum` and :func:`trig_sum_batch` are the normalized
   index-weighted trigonometric sums whose large-grid limits the lemma tests
-  check.
+  check;
+* :func:`dantzig_walk` is the exact L1 solver's vertex walk in its plain
+  form, Dantzig's pricing and a fresh basis inverse at every pivot, which the
+  tests swap in for ``optimizer._walk``.
 
 It lives beside the tests, as the Nelder-Mead oracle in ``simplex.py`` does,
 so the installed package carries none of it.
@@ -26,6 +29,7 @@ import math
 import numpy as np
 
 from lad2d.model import Grid, ModelParams, SignalField, model_grid_values
+from lad2d.optimizer import OPTIMALITY_TOLERANCE
 from lad2d.objective import lad_objective_vec, lse_objective_vec
 
 _TRIG_KINDS = ("cos2", "sin2", "cos", "sin", "sincos")
@@ -157,3 +161,45 @@ def trig_sum_batch(theta1: float, theta2: float, grid: Grid) -> dict[tuple[str, 
                 norm = grid.T ** (k1 + 1) * grid.S ** (k2 + 1)
                 out[(kind, k1, k2)] = float(table[k1, k2] / norm)
     return out
+
+
+def dantzig_walk(
+    A: np.ndarray, b: np.ndarray, rows: np.ndarray, fixed: np.ndarray | float, budget: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``optimizer._walk`` with Dantzig's pricing, the edge of largest |w_j|,
+    and ``np.linalg.inv`` of the basis after every pivot; the weighted median
+    of the ratios ahead takes a full sort.  Same arguments and results."""
+    inverse = np.linalg.inv(A[rows])
+    residual = b - A @ (inverse @ b[rows])
+    sign = np.sign(residual)
+    sign[rows] = 0.0
+    g = sign @ A + fixed
+    pivots = 0
+    while pivots < budget:
+        w = g @ inverse
+        j = int(np.argmax(np.abs(w)))
+        if not abs(w[j]) > OPTIMALITY_TOLERANCE:
+            break
+        rate = A @ (inverse[:, j] * np.sign(w[j]))
+        rate[rows] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = residual / rate
+        ahead = np.flatnonzero(ratio > 0.0)
+        ahead = ahead[np.argsort(ratio[ahead], kind="stable")]
+        stop = int(np.searchsorted(np.cumsum(np.abs(rate[ahead])), 0.5 * (abs(w[j]) - 1.0)))
+        if stop == ahead.size:
+            break
+        passed = ahead[: stop + 1]
+        step = ratio[passed[-1]]
+        residual -= step * rate
+        g -= 2.0 * sign[passed] @ A[passed]
+        g += sign[passed[-1]] * A[passed[-1]]
+        sign[passed] *= -1.0
+        sign[passed[-1]], residual[passed[-1]] = 0.0, 0.0
+        leaving = rows[j]
+        residual[leaving], sign[leaving] = -step * np.sign(w[j]), -np.sign(w[j])
+        g += sign[leaving] * A[leaving]
+        rows[j] = passed[-1]
+        inverse = np.linalg.inv(A[rows])
+        pivots += 1
+    return rows, inverse, pivots

@@ -417,14 +417,18 @@ class TestRejectedInputs:
               "--out", "{out}/sig.txt"], "outlier key 'frac' needs a number, got 'abc'"),
             (["estimate", "--in", "{bad}", "--out", "{out}/est"],
              "cannot parse {bad}: row 2, column 2: 'x' is not a number"),
+            (["estimate", "--in", "{nan}", "--out", "{out}/est"],
+             "cannot parse {nan}: row 1, column 2: 'nan' is not a finite number"),
         ],
         ids=["periodogram-p0", "texture-4x4", "simulate-seed-1", "mc-p7", "mc-grid6x6", "mc-seed-1",
-             "mc-jobs0", "mc-jobs-2", "mc-grid-twice", "simulate-frac-abc", "estimate-bad-cell"],
+             "mc-jobs0", "mc-jobs-2", "mc-grid-twice", "simulate-frac-abc", "estimate-bad-cell",
+             "estimate-nan-cell"],
     )
     def test_exits_2_before_writing(self, runner, tmp_path, args, named):
-        sig, bad = tmp_path / "sig.txt", tmp_path / "bad.txt"
+        sig, bad, nan = tmp_path / "sig.txt", tmp_path / "bad.txt", tmp_path / "nan.txt"
         invoke(runner, ["simulate", *MODEL4, "--T", "12", "--S", "12", "--out", str(sig)])
         bad.write_text("2 2\n1 2\n3 x\n")
+        nan.write_text("2 2\n1 nan\n3 4\n")
         base = MC_CONFIG.format(reps=1)
         configs = {"base": base, "seven": base + SEVEN_COMPONENTS,
                    "grid6": re.sub(r"(?m)^grids.*$", "grids = 6x6", base),
@@ -434,10 +438,10 @@ class TestRejectedInputs:
         out = tmp_path / "out"
         out.mkdir()
         paths = {name: str(tmp_path / f"{name}.cfg") for name in configs}
-        result = runner.invoke(main, [a.format(sig=sig, bad=bad, out=out, **paths) for a in args])
+        result = runner.invoke(main, [a.format(sig=sig, bad=bad, nan=nan, out=out, **paths) for a in args])
         assert result.exit_code == 2
         assert "error:" in result.output.lower()
-        assert named.format(bad=bad) in result.output
+        assert named.format(bad=bad, nan=nan) in result.output
         assert isinstance(result.exception, SystemExit)
         assert list(out.iterdir()) == []
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,3 +255,16 @@ class TestTextSerialization:
     def test_bad_cell_is_named(self):
         with pytest.raises(ValueError, match="row 2, column 2: 'x' is not a number"):
             read_signal_text("2 2\n1 2\n3 x\n")
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("2 2\n1 nan\n3 4\n", "row 1, column 2: 'nan' is not a finite number"),
+            ("2 2\n1 2\ninf 4\n", "row 2, column 1: 'inf' is not a finite number"),
+            ("2 3\n1 2 3\n4 5 -Infinity\n", "row 2, column 3: '-Infinity' is not a finite number"),
+            ("2 2\n1 2\n3 NaN\n", "row 2, column 2: 'NaN' is not a finite number"),
+        ],
+    )
+    def test_non_finite_cell_is_named(self, text, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read_signal_text(text)

@@ -277,6 +277,18 @@ class TestPeriodogram:
                 expected = abs(spectrum[j, k]) ** 2 / data.grid.n
                 assert periodogram(data, lam, mu) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("refinement", [1, 2, 3])
+    @pytest.mark.parametrize("T, S", [(8, 8), (9, 16), (25, 25), (31, 12), (64, 33), (150, 150)])
+    def test_lattice_dft_is_the_axis_0_transform_bit_for_bit(self, T, S, refinement):
+        # The transform along t runs on the transposed half-spectrum's
+        # contiguous rows; it must give exactly the plain axis-0 transform.
+        values = np.random.default_rng(T * S + refinement).standard_cauchy((T, S))
+        L, M = refinement * T, refinement * S
+        plain = np.fft.fft(np.fft.rfft(values, n=2 * M, axis=1), n=2 * L, axis=0)[: L + 1]
+        got = objective._lattice_dft(values, refinement)
+        assert got.shape == plain.shape and got.flags.c_contiguous
+        assert got.tobytes() == plain.tobytes()
+
     def test_peak_near_true_frequency(self, one_component_truth):
         data = synthesize_signal(one_component_truth, Grid(100, 100))
         lams, mus, intensity = periodogram_lattice(data, 2)

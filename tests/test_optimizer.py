@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lad2d import Grid, optimizer, synthesize_signal
 from lad2d.objective import lad_objective_vec
 from lad2d.optimizer import l1_vertex
+from reference import dantzig_walk
 from simplex import SimplexConfig, adaptive_coefficients, default_fit_config, nelder_mead
 
 
@@ -212,13 +213,13 @@ def l1_by_enumeration(A, b, lower, upper):
 
 
 @st.composite
-def l1_problems(draw):
+def l1_problems(draw, widths=st.integers(1, 3), most_rows=9):
     """(A, b, lower, upper, preferred): normal entries, so no two residual
     ratios tie, a box around 0 with a face through 0 now and then, and some
     rows (data or bounds) to start from."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(m, 9))
+    m = draw(widths)
+    n = draw(st.integers(m, most_rows))
     lower, upper = -rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
     if draw(st.booleans()):
         lower[0] = 0.0
@@ -233,14 +234,14 @@ def l1_vertex_on_every_row(A, b, lower, upper, preferred=()):
 
 
 @st.composite
-def tall_l1_problems(draw):
+def tall_l1_problems(draw, widths=st.integers(1, 3)):
     """(A, b, lower, upper, preferred) tall enough for the reduced row set: a
     linear model, in the box or beyond it, plus Cauchy noise, so the rows
     zero at the optimum are not all among those of smallest |b|.  A is now
     and then the transpose of a C-ordered array, as the LAD fit hands it
     over."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = draw(st.integers(1, 3))
+    m = draw(widths)
     n = 1200 * m + draw(st.integers(0, 1000))
     lower, upper = -rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
     if draw(st.booleans()):
@@ -251,20 +252,46 @@ def tall_l1_problems(draw):
     return A, b, lower, upper, preferred
 
 
+def assert_optimal_vertex(A, b, lower, upper, preferred):
+    """``l1_vertex`` ends in the box, at the enumerated optimum, on m rows
+    that are zero there."""
+    x, rows = l1_vertex(A, b, lower, upper, preferred)
+    assert np.all(x >= lower) and np.all(x <= upper)
+    want = l1_by_enumeration(A, b, lower, upper)
+    assert np.abs(b - A @ x).sum() <= want + 1e-9 * (1.0 + want)
+    # The rows returned are zero at x: data rows, then the upper and lower bounds.
+    n, m = A.shape
+    at = np.concatenate([b - A @ x, upper - x, lower - x])
+    assert len(set(rows.tolist())) == m
+    np.testing.assert_allclose(at[rows], 0.0, atol=1e-9)
+
+
+def assert_walks_agree(A, b, lower, upper, preferred):
+    """The reduced row set, the walk on every row and the Dantzig walk end
+    at one row set, with objectives within 1e-12; returns the rows."""
+    x, rows = l1_vertex(A, b, lower, upper, preferred)
+    with mock.patch.object(optimizer, "_walk", dantzig_walk):
+        plain, plain_rows = l1_vertex(A, b, lower, upper, preferred)
+    want, want_rows = l1_vertex_on_every_row(A, b, lower, upper, preferred)
+    assert sorted(rows.tolist()) == sorted(want_rows.tolist()) == sorted(plain_rows.tolist())
+    value = np.abs(b - A @ x).sum()
+    for other in (want, plain):
+        other_value = np.abs(b - A @ other).sum()
+        assert abs(value - other_value) <= 1e-12 * other_value
+    return rows
+
+
 class TestL1Vertex:
     @settings(max_examples=150, deadline=None)
     @given(problem=l1_problems())
     def test_matches_vertex_enumeration(self, problem):
-        A, b, lower, upper, preferred = problem
-        x, rows = l1_vertex(A, b, lower, upper, preferred)
-        assert np.all(x >= lower) and np.all(x <= upper)
-        want = l1_by_enumeration(A, b, lower, upper)
-        assert np.abs(b - A @ x).sum() <= want + 1e-9 * (1.0 + want)
-        # The rows returned are zero at x: data rows, then the upper and lower bounds.
-        n, m = A.shape
-        at = np.concatenate([b - A @ x, upper - x, lower - x])
-        assert len(set(rows.tolist())) == m
-        np.testing.assert_allclose(at[rows], 0.0, atol=1e-9)
+        assert_optimal_vertex(*problem)
+
+    @settings(max_examples=25, deadline=None)
+    @given(problem=l1_problems(widths=st.just(4), most_rows=7))
+    def test_matches_vertex_enumeration_at_four_columns(self, problem):
+        # The fit's narrowest problem: p = 1, four columns.
+        assert_optimal_vertex(*problem)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=st.one_of(l1_problems(), tall_l1_problems()))
@@ -277,7 +304,8 @@ class TestL1Vertex:
     @pytest.mark.parametrize("seed", range(20))
     def test_tied_rows_stay_in_the_box(self, seed):
         # Integer data ties residual ratios: the walk may stop at a vertex
-        # that is not optimal, but never outside the box or with an error.
+        # that is not optimal (test_tied_ratios_end_at_the_optimum), but
+        # never outside the box or with an error.
         rng = np.random.default_rng(seed)
         A = rng.integers(-2, 3, size=(8, 3)).astype(float)
         A[:, 1] = 0.0 if seed % 2 else A[:, 1]
@@ -287,16 +315,30 @@ class TestL1Vertex:
         assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
         assert np.all(np.isfinite(x))
 
+    @pytest.mark.xfail(strict=True, reason="a tied ratio leaves a stale sign (ROADMAP item 2)")
+    def test_tied_ratios_end_at_the_optimum(self):
+        # Integer data, one column: the walk stops at x = 1, where the sum is
+        # 25, while the best vertex has 24.
+        A = np.array([[3.0], [-3.0], [2.0], [-3.0], [-1.0], [-1.0], [3.0], [1.0], [3.0], [-1.0]])
+        b = np.array([0.0, 0.0, 5.0, -3.0, 0.0, -3.0, 4.0, -4.0, 2.0, 5.0])
+        assert_optimal_vertex(A, b, np.array([-10.0]), np.array([10.0]), ())
+
+    @settings(max_examples=9, deadline=None)
+    @given(problem=tall_l1_problems(widths=st.sampled_from([4, 8, 12])), seed=st.integers(0, 2**32 - 1))
+    def test_walks_agree_at_the_fit_widths(self, problem, seed):
+        # The fit solves 4p columns.  Cold, then warm from those rows on a
+        # nearby problem, as the next step of a descent is.
+        A, b, lower, upper, _ = problem
+        rows = assert_walks_agree(A, b, lower, upper, ())
+        nearby = b + 0.01 * np.random.default_rng(seed).normal(size=b.size)
+        assert_walks_agree(A, nearby, lower, upper, rows)
+
     @settings(max_examples=40, deadline=None)
     @given(problem=tall_l1_problems())
     def test_reduced_rows_end_at_the_every_row_vertex(self, problem):
         A, b, lower, upper, preferred = problem
         assert optimizer._left_out_rows(b, preferred, A.shape[1]) is not None
-        x, rows = l1_vertex(A, b, lower, upper, preferred)
-        want, want_rows = l1_vertex_on_every_row(A, b, lower, upper, preferred)
-        assert sorted(rows.tolist()) == sorted(want_rows.tolist())
-        value, want_value = np.abs(b - A @ x).sum(), np.abs(b - A @ want).sum()
-        assert abs(value - want_value) <= 1e-12 * want_value
+        assert_walks_agree(A, b, lower, upper, preferred)
 
     def test_left_out_rows_that_flip_join_the_walk(self):
         # 561 rows lie around 0 and 4,440 between 2 and 10, where the median
